@@ -30,11 +30,7 @@ from .parabolic import (
     classify_parabolic,
     enumerate_spherical_poset,
 )
-from .reflections import (
-    enumerate_ball,
-    generate_roots,
-    simple_reflection_matrix,
-)
+from .reflections import enumerate_ball, generate_roots
 
 PROBE_RADIUS = 8  # parabolic subgroups of the test data close up well inside
 
@@ -69,10 +65,9 @@ def _nonempty_subsets(datum: CoxeterDatum) -> list[tuple[str, ...]]:
 def check_sign_dichotomy(datum: CoxeterDatum, depth: int) -> CheckResult:
     """Every simple-reflection image of every root is entirely nonnegative
     or entirely nonpositive."""
-    mats = [simple_reflection_matrix(datum, s) for s in datum.generators]
     worst = 0.0
     for record in generate_roots(datum, depth):
-        for m in mats:
+        for m in datum.simple_reflections:
             image = m @ record.coords
             mixed = min(max(0.0, -float(np.min(image))),
                         max(0.0, float(np.max(image))))
@@ -183,11 +178,9 @@ def check_davis_ball(datum: CoxeterDatum, radius: int) -> CheckResult:
             if (chain in mirror(ball.chamber, s)) != (s in stab):
                 problems.append(f"mirror mismatch at {chain} / {s}")
     if classify_parabolic(datum, datum.generators).is_spherical:
-        order = len(enumerate_ball(datum, PROBE_RADIUS))
-        longest = max(w.length
-                      for w in enumerate_ball(datum, PROBE_RADIUS))
-        closed = build_davis_ball(datum, longest)
-        if not closed.is_closed or len(closed.elements) != order:
+        whole = enumerate_ball(datum, PROBE_RADIUS)
+        closed = build_davis_ball(datum, max(w.length for w in whole))
+        if not closed.is_closed or len(closed.elements) != len(whole):
             problems.append("finite group complex did not close up")
     return _result("davis-ball", not problems,
                    detail="; ".join(problems) if problems else

@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--datum", required=True, help="path to a datum JSON file")
         p.add_argument("--out", help="output file path (default: stdout or "
                        f"${OUTPUT_DIR_VAR}/{name}.<ext>)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override, within [1e-12, 1e-3]")
         if depth:
             p.add_argument("--depth", type=int, default=6)
         if radius:
@@ -80,9 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="samples per chamber")
         return p
 
-    add("roots", "positive roots by breadth-first depth", depth=True)
-    add("normalized-roots", "roots scaled to coordinate sum 1", depth=True)
-    add("limit-roots", "clustered deep normalized roots", depth=True)
+    tables = [add("roots", "positive roots by breadth-first depth", depth=True),
+              add("normalized-roots", "roots scaled to coordinate sum 1", depth=True),
+              add("limit-roots", "clustered deep normalized roots", depth=True)]
+    for p in tables:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    tables[-1].add_argument("--tol", type=float, default=LIMIT_ISOTROPY_TOL,
+                            help="isotropy tolerance, within [1e-12, 1e-3]")
     add("parabolics", "spherical poset and subset classification")
     add("cone-samples", "seeded samples of the imaginary cone",
         radius=True, seed=True, samples=True)
@@ -98,8 +99,6 @@ def _validate_args(args: argparse.Namespace) -> None:
         value = getattr(args, field, None)
         if value is not None and value < 0:
             raise ValueError(f"--{field} must be nonnegative")
-    if args.tol is not None and not (1e-12 <= args.tol <= 1e-3):
-        raise ValueError("--tol must lie within [1e-12, 1e-3]")
 
 
 def _load_datum(path: str) -> CoxeterDatum:
@@ -173,8 +172,9 @@ def _cmd_normalized_roots(args, datum: CoxeterDatum) -> int:
 
 
 def _cmd_limit_roots(args, datum: CoxeterDatum) -> int:
-    isotropy_tol = args.tol if args.tol is not None else LIMIT_ISOTROPY_TOL
-    estimates = approximate_limit_roots(datum, args.depth, isotropy_tol)
+    if not 1e-12 <= args.tol <= 1e-3:
+        raise ValueError("--tol must lie within [1e-12, 1e-3]")
+    estimates = approximate_limit_roots(datum, args.depth, args.tol)
     if args.format == "csv":
         rows = [[repr(float(c)) for c in e.point]
                 + [repr(e.isotropy), e.source_depth] for e in estimates]

@@ -29,7 +29,6 @@ from .parabolic import ParabolicKind, classify_parabolic, is_connected
 from .reflections import (
     GroupElement,
     act,
-    element_index,
     enumerate_ball,
     parabolic_closure,
 )
@@ -194,11 +193,11 @@ def verify_stabilizer(datum: CoxeterDatum, v: np.ndarray,
     generate."""
     v = np.asarray(v, dtype=float)
     gens = stabilizer_generators(datum, v)
-    subgroup = element_index(enumerate_ball(datum, ball_radius, sorted(gens)))
     scale = max(1.0, float(np.max(np.abs(v))))
     for w in enumerate_ball(datum, ball_radius):
         fixes = bool(np.max(np.abs(act(w, v) - v)) <= EPS * scale)
-        generated = subgroup.find(w.matrix) is not None
+        # every reduced word of w uses the same letters (Humphreys 5.10)
+        generated = set(w.word) <= gens
         if fixes != generated:
             return False
     return True

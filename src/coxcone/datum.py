@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,6 +90,8 @@ class CoxeterMatrix:
         m = self.order(s, t)
         if m == INFINITE:
             return self.infinite_values.get(_pair(s, t), -1.0)
+        if m == 2:
+            return 0.0  # not -cos(pi/2) = -6.1e-17: commuting pairs commute exactly
         return -math.cos(math.pi / m)
 
 
@@ -157,6 +160,13 @@ class CoxeterDatum:
         e = np.zeros(self.rank)
         e[self.index(s)] = 1.0
         return e
+
+    @cached_property
+    def simple_reflections(self) -> np.ndarray:
+        """Read-only stack of the simple reflection matrices, in generator
+        order: r_s v = v - 2 (alpha_s, v) alpha_s changes coordinate s only."""
+        eye = np.eye(self.rank)
+        return frozen(eye - 2.0 * eye[:, :, None] * self.gram[:, None, :])
 
     @property
     def simple_roots(self) -> np.ndarray:

@@ -20,9 +20,8 @@ from .parabolic import SphericalPoset, enumerate_spherical_poset
 from .reflections import (
     GroupElement,
     element_from_word,
-    element_index,
     enumerate_ball,
-    simple_reflection_matrix,
+    negative_columns,
 )
 
 Chain = tuple[frozenset[str], ...]
@@ -117,15 +116,15 @@ def minimal_coset_matrix(datum: CoxeterDatum, matrix: np.ndarray,
     left, returning the reduced matrix and the letters stripped (in order).
     The result represents the minimal-length element of the right coset
     modulo the parabolic subgroup on `subset`."""
-    mats = {s: simple_reflection_matrix(datum, s) for s in subset}
-    cols = {s: datum.index(s) for s in subset}
+    reflections = datum.simple_reflections
+    cols = [datum.index(s) for s in subset]
     m = np.array(matrix, dtype=float)
     stripped: list[str] = []
     while True:
-        for s in subset:
-            # right descent: the element sends alpha_s to a negative root
-            if np.max(m[:, cols[s]]) <= EPS:
-                m = m @ mats[s]
+        descents = negative_columns(m)
+        for s, i in zip(subset, cols):
+            if descents[i]:
+                m = m @ reflections[i]
                 stripped.append(s)
                 break
         else:
@@ -172,22 +171,39 @@ class DavisBall:
 def build_davis_ball(datum: CoxeterDatum, radius: int,
                      poset: SphericalPoset | None = None) -> DavisBall:
     """One chamber per ball element; chambers w and w r_s share the mirror
-    of s; mirrors whose neighbor falls outside the ball are frontier."""
+    of s; mirrors whose neighbor falls outside the ball are frontier.
+
+    Each pair is found from its shorter chamber w, where s is an ascent.
+    Write w = t p with t the first letter of its word.  If w(alpha_s) is a
+    simple root alpha_a (exactly when r_a w(alpha_s) is negative), then
+    w r_s = r_a w, whose word is a followed by that of w when a comes
+    before t.  Otherwise w r_s = t (p r_s), whose word is t followed by
+    that of p r_s, which is as long as w and so already found.
+    """
     if poset is None:
         poset = enumerate_spherical_poset(datum)
     chamber = build_fundamental_chamber(poset)
     elements = enumerate_ball(datum, radius)
-    index = element_index(elements)
-    adjacency: set[tuple[int, int, str]] = set()
+    index = {w.word: i for i, w in enumerate(elements)}
+    mats = np.array([w.matrix for w in elements])
+    # [i, a, s]: the coordinate sum of r_a w_i(alpha_s) is negative
+    simple = mats.sum(axis=1)[:, None, :] - 2.0 * (datum.gram @ mats) < 0.0
+    up: dict[tuple[int, int], int] = {}  # (i, s) -> index of w_i r_s
+    adjacency: list[tuple[int, int, str]] = []
     frontier: list[tuple[int, str]] = []
     for i, w in enumerate(elements):
-        for s in datum.generators:
-            neighbor = index.find(
-                w.matrix @ element_from_word(datum, (s,)).matrix)
-            if neighbor is None:
-                frontier.append((i, s))
+        for k in np.flatnonzero(~negative_columns(w.matrix)):
+            hits = np.flatnonzero(simple[i, :, k])
+            if hits.size and (not w.word or hits[0] < datum.index(w.word[0])):
+                word = (datum.generators[hits[0]],) + w.word
             else:
-                adjacency.add((min(i, neighbor), max(i, neighbor), s))
+                word = (w.word[0],) + elements[up[index[w.word[1:]], k]].word
+            j = index.get(word)
+            if j is None:
+                frontier.append((i, datum.generators[k]))
+            else:
+                up[i, k] = j
+                adjacency.append((i, j, datum.generators[k]))
     return DavisBall(chamber, tuple(elements),
                      tuple(sorted(adjacency)), tuple(frontier))
 

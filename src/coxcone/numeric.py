@@ -17,9 +17,6 @@ EPS = 1e-9
 FORM_TOL = 1e-12
 WALL_TOL = 1e-8
 
-# default dedup grid for root / matrix coordinates
-DEDUP_GRID = 1e-7
-
 
 class GridIndex:
     """Deduplicate float arrays by rounding coordinates to a grid.
@@ -31,7 +28,7 @@ class GridIndex:
     above the grid scale (true of root data at desk depths).
     """
 
-    def __init__(self, grid: float = DEDUP_GRID, tol: float = EPS):
+    def __init__(self, grid: float, tol: float = EPS):
         self.grid = grid
         self.tol = tol
         self._cells: dict[tuple[int, ...], list[int]] = {}

@@ -1,27 +1,36 @@
 """Reflection action, reduced words, and breadth-first root generation.
 
-Group elements are compared through their action matrices (the reflection
-representation is faithful), so every element has one canonical reduced
-word: the lexicographically least one, produced by repeatedly stripping
-the smallest generator that shortens from the left.
+Every "is this root negative" test is the sign of the root's coordinate
+sum: a root is all-nonnegative or all-nonpositive, so its sum is never
+near zero and needs no tolerance.  A generator s is a right descent of w
+when w(alpha_s) is negative (column s of the action matrix M(w)) and a
+left descent when w^-1(alpha_s) is (column s of M(w^-1)).
+
+A group element is identified by its lexicographically least reduced word,
+letters ordered as the datum lists its generators: the smallest left
+descent s of w followed by the least word of s w.  Balls grow one length
+at a time and meet each element exactly once, by prepending s to a
+canonical w' when s is not a left descent of w' but is the smallest left
+descent of s w' (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 3-4).
+Roots grow the same way, one depth at a time (Brink-Howlett 1993).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .datum import INFINITE, CoxeterDatum, in_positive_cone
+from .datum import INFINITE, CoxeterDatum
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     InvalidBond,
     IsotropicMirror,
 )
-from .numeric import DEDUP_GRID, EPS, GridIndex, frozen
+from .numeric import EPS, frozen
 
 ROOT_CAP = 100_000
 ELEMENT_CAP = 200_000
@@ -51,19 +60,27 @@ def reflect(datum: CoxeterDatum, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def simple_reflection_matrix(datum: CoxeterDatum, s: str) -> np.ndarray:
-    """Matrix of the reflection in the simple root of s."""
-    i = datum.index(s)
-    m = np.eye(datum.rank)
-    m[i, :] -= 2.0 * datum.gram[i, :]
-    return m
+    """Matrix of the reflection in the simple root of s (read-only)."""
+    return datum.simple_reflections[datum.index(s)]
 
 
-@dataclass(frozen=True, eq=False)
+def negative_columns(matrix: np.ndarray) -> np.ndarray:
+    """Which columns of an action matrix, or of a stack of them, are
+    negative roots: the right descents of w for M(w), the left descents
+    for M(w^-1)."""
+    return np.sum(matrix, axis=-2) < 0.0
+
+
+@dataclass(frozen=True)
 class GroupElement:
-    """A group element: canonical reduced word plus cached action matrix."""
+    """A group element: canonical reduced word plus cached action matrix.
+
+    The word is the lexicographically least reduced word, so elements
+    compare and hash by it; the matrix takes no part in equality.
+    """
 
     word: tuple[str, ...]
-    matrix: np.ndarray
+    matrix: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", frozen(self.matrix))
@@ -71,11 +88,6 @@ class GroupElement:
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return np.max(np.abs(self.matrix - other.matrix)) <= EPS
 
     def __repr__(self) -> str:
         name = ".".join(self.word) if self.word else "1"
@@ -101,35 +113,39 @@ class WordInfo(NamedTuple):
     word: tuple[str, ...]     # canonical reduced word
 
 
-def _is_negative_root(v: np.ndarray) -> bool:
-    return bool(np.max(v) <= EPS)
+def _canonical_word(datum: CoxeterDatum, inverse: np.ndarray,
+                    budget: int) -> tuple[str, ...]:
+    """Lexicographically least reduced word of the element w with
+    M(w^-1) = inverse, by stripping its smallest left descent at every step.
 
-
-def _canonical_word(datum: CoxeterDatum, matrix: np.ndarray,
-                    inverse: np.ndarray, budget: int) -> tuple[str, ...]:
-    """Lexicographically least reduced word, by smallest-descent stripping.
-
-    A generator a is a valid first letter exactly when the inverse image of
-    its simple root is a negative root; taking the smallest such a at every
-    step yields the least reduced word.
+    An element without left descents is the identity, so a matrix that
+    still differs from it is not a group element.
     """
-    n = datum.rank
-    w = matrix.copy()
-    winv = inverse.copy()
+    inv = np.array(inverse, dtype=float)
     letters: list[str] = []
     for _ in range(budget + 1):
-        if np.max(np.abs(w - np.eye(n))) <= EPS:
+        descents = np.flatnonzero(negative_columns(inv))
+        if descents.size == 0:
+            scale = max(1.0, float(np.max(np.abs(inverse))))
+            if np.max(np.abs(inv - np.eye(datum.rank))) > EPS * scale:
+                raise BudgetExceeded("no descent found; matrix is not a group element")
             return tuple(letters)
-        for s in datum.generators:
-            if _is_negative_root(winv[:, datum.index(s)]):
-                r = simple_reflection_matrix(datum, s)
-                w = r @ w
-                winv = winv @ r
-                letters.append(s)
-                break
-        else:
-            raise BudgetExceeded("no descent found; matrix is not a group element")
+        inv = inv @ datum.simple_reflections[descents[0]]
+        letters.append(datum.generators[descents[0]])
     raise BudgetExceeded("word reduction exceeded its budget")
+
+
+def element_from_word(datum: CoxeterDatum, word: Sequence[str]) -> GroupElement:
+    """Group element of a (not necessarily reduced) word, in canonical form."""
+    letters = tuple(word)
+    reflections = datum.simple_reflections
+    mat = np.eye(datum.rank)
+    inv = np.eye(datum.rank)
+    for s in letters:
+        r = reflections[datum.index(s)]
+        mat = mat @ r
+        inv = r @ inv
+    return GroupElement(_canonical_word(datum, inv, len(letters)), mat)
 
 
 def length_and_descents(datum: CoxeterDatum, word: Sequence[str] | GroupElement) -> WordInfo:
@@ -138,31 +154,10 @@ def length_and_descents(datum: CoxeterDatum, word: Sequence[str] | GroupElement)
     The descent set holds the generators a whose simple root is sent to a
     negative root, i.e. those with len(w r_a) = len(w) - 1.
     """
-    if isinstance(word, GroupElement):
-        letters: Sequence[str] = word.word
-    else:
-        letters = tuple(word)
-    n = datum.rank
-    mat = np.eye(n)
-    inv = np.eye(n)
-    for s in letters:
-        r = simple_reflection_matrix(datum, s)
-        mat = mat @ r
-        inv = r @ inv
-    reduced = _canonical_word(datum, mat, inv, budget=max(len(letters), 1))
+    w = word if isinstance(word, GroupElement) else element_from_word(datum, word)
     descents = frozenset(
-        s for s in datum.generators
-        if _is_negative_root(mat[:, datum.index(s)]))
-    return WordInfo(len(reduced), descents, reduced)
-
-
-def element_from_word(datum: CoxeterDatum, word: Sequence[str]) -> GroupElement:
-    """Group element of a (not necessarily reduced) word, in canonical form."""
-    mat = np.eye(datum.rank)
-    for s in word:
-        mat = mat @ simple_reflection_matrix(datum, s)
-    info = length_and_descents(datum, tuple(word))
-    return GroupElement(info.word, mat)
+        s for s, down in zip(datum.generators, negative_columns(w.matrix)) if down)
+    return WordInfo(w.length, descents, w.word)
 
 
 def multiply(datum: CoxeterDatum, u: GroupElement, w: GroupElement) -> GroupElement:
@@ -213,47 +208,44 @@ class RootRecord:
         object.__setattr__(self, "coords", frozen(self.coords))
 
 
+def _pairing_tol(v: np.ndarray) -> np.ndarray:
+    """Tolerance on the pairings (v, alpha_t), relative to the size of v:
+    pairings that are 0 in exact arithmetic come out as +-1e-16 |v|."""
+    return EPS * np.max(np.abs(v), axis=-1)
+
+
 def generate_roots(datum: CoxeterDatum, max_depth: int,
                    cap: int = ROOT_CAP) -> list[RootRecord]:
     """All positive roots reachable from the simple ones within `max_depth`
     rounds of simple reflections.
 
-    Level 0 is the simple roots themselves; each later level applies every
-    simple reflection to the previous frontier and keeps the new positive
-    roots.  Images that land outside the positive cone are negatives of
-    roots already seen and are skipped.  Results are sorted by level then
-    coordinates.
+    Level 0 is the simple roots themselves.  A root gamma one level deeper
+    than beta is r_s beta with (beta, alpha_s) < 0; it is kept only from the
+    smallest s with (gamma, alpha_s) > 0, so each root is found once.
+    Results are sorted by level then coordinates.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    n = datum.rank
-    mats = [simple_reflection_matrix(datum, s) for s in datum.generators]
-    seen = GridIndex(grid=DEDUP_GRID)
-    records: list[RootRecord] = []
-    frontier: list[np.ndarray] = []
-    for i, _ in enumerate(datum.generators):
-        e = np.zeros(n)
-        e[i] = 1.0
-        seen.add(e)
-        records.append(RootRecord(e, 0))
-        frontier.append(e)
+    gram = datum.gram
+    frontier = np.eye(datum.rank)
+    records = [RootRecord(e, 0) for e in frontier]
     for depth in range(1, max_depth + 1):
-        fresh: list[np.ndarray] = []
-        for beta in frontier:
-            for r in mats:
-                gamma = r @ beta
-                if not in_positive_cone(gamma):
-                    continue
-                if seen.add(gamma):
-                    fresh.append(gamma)
-        if not fresh:
+        pairings = frontier @ gram
+        fresh = []
+        for i, r in enumerate(datum.simple_reflections):
+            beta = frontier[pairings[:, i] < -_pairing_tol(frontier)]
+            # one product per root rounds exactly as r @ beta does; a single
+            # matrix product for all of them rounds differently
+            gamma = np.matmul(r, beta[:, :, None])[:, :, 0]
+            ascents = gamma @ gram[:, :i] > _pairing_tol(gamma)[:, None]
+            fresh.append(gamma[~ascents.any(axis=1)])
+        frontier = np.concatenate(fresh)
+        if not len(frontier):
             break
-        fresh.sort(key=lambda v: tuple(v))
-        for gamma in fresh:
-            records.append(RootRecord(gamma, depth))
+        frontier = frontier[np.lexsort(frontier.T[::-1])]
+        records.extend(RootRecord(gamma, depth) for gamma in frontier)
         if len(records) > cap:
             raise BudgetExceeded(f"root generation passed the cap of {cap}")
-        frontier = fresh
     return records
 
 
@@ -269,10 +261,10 @@ def enumerate_ball(datum: CoxeterDatum, radius: int,
                    cap: int = ELEMENT_CAP) -> list[GroupElement]:
     """All elements of length <= radius, sorted by (length, word).
 
-    Elements are deduplicated through their action matrices; the word kept
-    for each is its lexicographically least reduced word.  An optional
-    generator subset restricts the search to that standard parabolic
-    subgroup (whose length function agrees with the full one).
+    Each element appears once, under its lexicographically least reduced
+    word.  An optional generator subset restricts the search to that
+    standard parabolic subgroup (whose length function agrees with the
+    full one).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -289,47 +281,36 @@ def parabolic_closure(datum: CoxeterDatum, generators: Sequence[str],
 def _ball(datum: CoxeterDatum, generators: Sequence[str] | None,
           radius: int | None, cap: int) -> list[GroupElement]:
     gens = datum.generators if generators is None else datum.sort_subset(generators)
-    n = datum.rank
-    mats = {s: simple_reflection_matrix(datum, s) for s in gens}
-    cols = {s: datum.index(s) for s in gens}
-
-    out: list[GroupElement] = [identity_element(datum)]
-    frontier: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.eye(n))]
+    cols = [datum.index(s) for s in gens]
+    reflections = datum.simple_reflections
+    out = [identity_element(datum)]
+    # the last length reached: canonical words, M(w) and M(w^-1)
+    words: list[tuple[str, ...]] = [()]
+    mats = np.eye(datum.rank)[None]
+    invs = mats
     level = 0
-    while frontier and (radius is None or level < radius):
+    while words and (radius is None or level < radius):
         level += 1
-        index = GridIndex(grid=DEDUP_GRID)
-        fresh: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
-        for word, mat in frontier:
-            for s in gens:
-                # ascent test: w(alpha_s) positive means len(w r_s) grows
-                if np.min(mat[:, cols[s]]) < -EPS:
-                    continue
-                grown = mat @ mats[s]
-                candidate = word + (s,)
-                idx = index.find(grown)
-                if idx is None:
-                    index.add(grown)
-                    fresh[len(fresh)] = (candidate, grown)
-                elif candidate < fresh[idx][0]:
-                    fresh[idx] = (candidate, fresh[idx][1])
-        if not fresh:
+        left = negative_columns(invs)
+        grown: list[tuple[str, ...]] = []
+        grown_mats, grown_invs = [], []
+        for k, (s, i) in enumerate(zip(gens, cols)):
+            rows = np.flatnonzero(~left[:, i])
+            inv = invs[rows] @ reflections[i]
+            smallest = ~negative_columns(inv)[:, cols[:k]].any(axis=1)
+            rows = rows[smallest]
+            grown.extend((s,) + words[j] for j in rows)
+            grown_mats.append(reflections[i] @ mats[rows])
+            grown_invs.append(inv[smallest])
+        if not grown:
             break
-        batch = sorted(fresh.values(), key=lambda it: it[0])
-        for word, mat in batch:
-            out.append(GroupElement(word, mat))
+        words = grown
+        mats = np.concatenate(grown_mats)
+        invs = np.concatenate(grown_invs)
+        out.extend(GroupElement(w, m) for w, m in zip(words, mats))
         if len(out) > cap:
             raise BudgetExceeded(f"ball enumeration passed the cap of {cap}")
-        frontier = batch
     return out
-
-
-def element_index(elements: Iterable[GroupElement]) -> GridIndex:
-    """Grid index over action matrices, for membership tests."""
-    index = GridIndex(grid=DEDUP_GRID)
-    for el in elements:
-        index.add(el.matrix)
-    return index
 
 
 def roots_to_json(records: Iterable[RootRecord]) -> list[dict]:

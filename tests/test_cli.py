@@ -224,6 +224,16 @@ def test_bad_tolerance(datum_path):
     assert run_cli(["limit-roots", "--datum", path, "--tol", "1e-13"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["davis", "--radius", "1", "--tol", "1e-6"],
+    ["embed", "--radius", "1", "--format", "csv"],
+])
+def test_flags_rejected_where_unused(datum_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--datum", datum_path("universal3")])
+    assert exc.value.code == 2
+
+
 def test_negative_depth(datum_path):
     code, _, err = run_cli(["roots", "--datum", datum_path("rank2_m3"),
                             "--depth", "-1"])

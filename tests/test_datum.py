@@ -16,6 +16,7 @@ from coxcone import (
     make_datum,
     parse_datum,
     serialize_datum,
+    simple_reflection_matrix,
 )
 from coxcone.datum import INFINITE, in_positive_cone
 from coxcone.errors import (
@@ -105,6 +106,14 @@ def test_unspecified_bond_defaults_to_two():
     datum = make_datum(["s", "t", "u"], [("s", "t", 3)])
     assert datum.matrix.order("s", "u") == 2
     assert datum.matrix.form_value("s", "u") == pytest.approx(0.0, abs=1e-15)
+
+
+def test_commuting_reflections_commute_exactly():
+    datum = make_datum(["s", "t", "u"], [("s", "t", 3)])
+    assert datum.matrix.form_value("s", "u") == 0.0
+    r_s = simple_reflection_matrix(datum, "s")
+    r_u = simple_reflection_matrix(datum, "u")
+    assert np.array_equal(r_s @ r_u, r_u @ r_s)
 
 
 def test_integral_float_order_accepted():

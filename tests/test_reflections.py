@@ -1,6 +1,8 @@
 """Reflections, canonical words, dihedral orbits, and root generation."""
 
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from coxcone import (
     dihedral_orbit_closed_form,
     element_from_word,
     enumerate_ball,
+    enumerate_spherical_poset,
     generate_roots,
     identity_element,
     inverse_element,
@@ -29,7 +32,6 @@ from coxcone.errors import (
 from coxcone.reflections import (
     _canonical_word,
     ball_to_json,
-    element_index,
     reflect,
     reflection_matrix,
     roots_to_json,
@@ -158,7 +160,7 @@ def test_multiply_and_inverse(tri):
 def test_word_reduction_budget(m3):
     # a matrix that is not in the group has no descent to strip
     with pytest.raises(BudgetExceeded):
-        _canonical_word(m3, 2.0 * np.eye(2), 2.0 * np.eye(2), budget=5)
+        _canonical_word(m3, 2.0 * np.eye(2), budget=5)
 
 
 def test_unknown_generator_in_word(m3):
@@ -305,6 +307,65 @@ def test_enumerate_ball_sizes(datums):
         assert [len(enumerate_ball(datum, r)) for r in range(5)] == sizes
 
 
+def m3inf(c):
+    return make_datum(["s", "t", "u"],
+                      [("s", "t", 3), ("t", "u", 3), ("s", "u", INF)],
+                      [("s", "u", c)])
+
+
+def _series_inverse(poly, order):
+    """1/poly up to t^order, for an integer polynomial with constant term 1."""
+    inv = [1] + [0] * order
+    for k in range(1, order + 1):
+        inv[k] = -sum(poly[i] * inv[k - i]
+                      for i in range(1, min(k, len(poly) - 1) + 1))
+    return inv
+
+
+def steinberg_growth(datum, order):
+    """Elements of each length 0..order from Steinberg's formula
+    1/W(t) = sum over spherical J of (-1)^|J| t^N_J / W_J(t), with N_J the
+    length of the longest element of W_J (rank <= 2 subsets only)."""
+    reciprocal = [0] * (order + 1)
+    for subset in enumerate_spherical_poset(datum).elements:
+        poly = [1]
+        if len(subset) == 1:
+            poly = [1, 1]
+        elif len(subset) == 2:
+            m = int(datum.matrix.order(*sorted(subset)))
+            poly = [1] + [2] * (m - 1) + [1]   # (1 + t)(1 + t + ... + t^(m-1))
+        assert len(subset) <= 2
+        shift = len(poly) - 1
+        inverse = _series_inverse(poly, order)
+        for k in range(order + 1 - shift):
+            reciprocal[k + shift] += (-1) ** len(subset) * inverse[k]
+    return _series_inverse(reciprocal, order)
+
+
+@pytest.mark.parametrize("name", [
+    "rank2_m3", "rank2_affine", "rank2_hyper", "universal3", "triangle334",
+    "mixed3", "m3inf@-1", "m3inf@-1.5", "m3inf@-20"])
+def test_ball_growth_matches_steinberg(datums, name):
+    if name.startswith("m3inf@"):
+        datum = m3inf(float(name.split("@")[1]))
+    else:
+        datum = datums[name]
+    lengths = Counter(w.length for w in enumerate_ball(datum, 12))
+    assert [lengths[k] for k in range(13)] == steinberg_growth(datum, 12)
+
+
+def test_large_form_value_counts():
+    # at c = -20 root coordinates reach 1e22; counts must not depend on c
+    datum = m3inf(-20.0)
+    start = time.perf_counter()
+    lengths = Counter(w.length for w in enumerate_ball(datum, 12))
+    roots = generate_roots(datum, 14)
+    elapsed = time.perf_counter() - start
+    assert (lengths[7], lengths[12]) == (68, 754)
+    assert len(roots) == 5165
+    assert elapsed < 1.0
+
+
 def test_enumerate_ball_ordering(m3):
     ball = enumerate_ball(m3, 3)
     assert [w.word for w in ball] == [
@@ -338,14 +399,6 @@ def test_parabolic_closure(m3, aff, mix):
     assert parabolic_closure(m3, []) == [identity_element(m3)]
     with pytest.raises(BudgetExceeded):
         parabolic_closure(aff, ["s", "t"], cap=30)
-
-
-def test_element_index(m3):
-    ball = enumerate_ball(m3, 3)
-    index = element_index(ball)
-    assert len(index) == 6
-    assert index.find(element_from_word(m3, "tst").matrix) == 5
-    assert index.find(3.0 * np.eye(2)) is None
 
 
 def test_ball_to_json(m3):
