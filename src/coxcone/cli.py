@@ -127,7 +127,6 @@ def _emit(args: argparse.Namespace, text: str, extension: str) -> None:
         return
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text, encoding="utf-8")
-    print(f"wrote {target}", file=sys.stderr)
 
 
 def _to_json_text(payload) -> str:

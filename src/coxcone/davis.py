@@ -10,6 +10,7 @@ differ by the stabilizer of the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -206,6 +207,34 @@ def build_davis_ball(datum: CoxeterDatum, radius: int,
                 adjacency.append((i, j, datum.generators[k]))
     return DavisBall(chamber, tuple(elements),
                      tuple(sorted(adjacency)), tuple(frontier))
+
+
+def coset_minima(datum: CoxeterDatum, ball: DavisBall,
+                 subsets: Iterable[frozenset[str]]) -> dict[frozenset[str], np.ndarray]:
+    """For each subset T, the index of the minimal representative of w W_T
+    for every chamber w of the ball.
+
+    The walk goes down shared mirrors: while w has a right descent s in T,
+    it steps to the shorter chamber w r_s, taking the first such s in
+    generator order as `minimal_coset_matrix` does.  It only shortens w, so
+    it never leaves the ball.
+    """
+    down = np.full((len(ball.elements), datum.rank), -1)
+    for i, j, s in ball.adjacency:
+        down[j, datum.index(s)] = i   # w_i = w_j r_s is the shorter one
+    minima = {}
+    for subset in subsets:
+        cols = [datum.index(s) for s in datum.sort_subset(subset)]
+        current = np.arange(len(ball.elements))
+        while cols:
+            steps = down[current][:, cols]
+            has = steps >= 0
+            moving = has.any(axis=1)
+            if not moving.any():
+                break
+            current[moving] = steps[moving, has[moving].argmax(axis=1)]
+        minima[subset] = current
+    return minima
 
 
 def ball_cells(datum: CoxeterDatum, ball: DavisBall) -> list[DavisCell]:

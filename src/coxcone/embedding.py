@@ -5,12 +5,36 @@ the normalized average of the basepoint's orbit under its finite parabolic,
 which lands on exactly the walls of that subset.  Chains map to affinely
 independent frames, points extend barycentrically, and a group element acts
 on the result through the dot action.
+
+`verify_embedding` checks the map on the barycenter cells (w, chain) of a
+Davis ball, with array code over the whole ball.  The point of a cell is
+fixed by W_T, T the first subset of its chain, so its canonical element is
+the minimal representative of w W_T, found by walking down the ball's
+shared mirrors (`davis.coset_minima`).  The report's fields:
+
+- `chambers`, `samples`: ball elements and (element, chain) cells.
+- `max_equivariance_violation`, the larger of two gaps; `equivariance_ok`
+  when both are below WALL_TOL.  Equivariance: for every u in the ball and
+  every distinct canonical cell, the image of the moved cell, through the
+  minimal representative of u w W_T, against u acting on the cell's image.
+  Independence of the representative: every cell's image through its own
+  element against its image through its canonical element.
+- `min_separation`: the exact smallest Chebyshev distance between the
+  images of two distinct canonical cells, over all pairs, computed a block
+  of rows at a time so that memory stays bounded as the ball grows;
+  `injectivity_ok` when it is above SEPARATION_TOL.
+- `max_on_wall_violation`, `min_off_wall_margin`: on the identity chamber,
+  the largest |wall value| of a chain's image at the walls of the chain's
+  stabilizer, and the smallest at the other walls; `mirror_ok` when the
+  first is below WALL_TOL and the second is not.
+- `max_isotropy`: the largest B(x, x) over the cell images; `isotropy_ok`
+  when it is at most ISOTROPY_TOL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,29 +46,30 @@ from .cone import (
 )
 from .datum import CoxeterDatum
 from .davis import (
+    Chain,
     DavisBall,
     DavisCell,
-    ball_cells,
     build_davis_ball,
     canonicalize_cell,
-    minimal_coset_matrix,
-    point_stabilizer,
+    coset_minima,
     uniform_point,
 )
 from .errors import (
     DegenerateSimplex,
     InvariantViolation,
+    LeftDomain,
     NotInterior,
     NotSpherical,
 )
 from .normalize import dot_act, normalize
 from .numeric import EPS, WALL_TOL, frozen
 from .parabolic import SphericalPoset, classify_parabolic, enumerate_spherical_poset
-from .reflections import element_from_word, parabolic_closure
+from .reflections import element_from_word, negative_columns, parabolic_closure
 
 SIMPLEX_TOL = 1e-8
 SEPARATION_TOL = 1e-7
 ISOTROPY_TOL = 1e-9
+BLOCK_FLOATS = 1 << 18   # floats in one batch of products or of pairwise gaps
 
 
 def _interior_coords(datum: CoxeterDatum, v0: ConePoint | np.ndarray) -> np.ndarray:
@@ -220,95 +245,157 @@ class EmbeddingReport:
         }
 
 
-def _cell_key(cell: DavisCell) -> tuple:
-    return (cell.element.word, tuple(tuple(sorted(t)) for t in cell.point.carrier),
-            tuple(round(w, 9) for w in cell.point.weights))
+class _BallImages(NamedTuple):
+    chains: tuple[Chain, ...]
+    chamber_images: np.ndarray  # [c]: barycenter image of chain c in the chamber
+    matrices: np.ndarray        # [w]: M(w) of ball element w
+    canonical: np.ndarray       # [w, c]: minimal representative of w W_T, T = c[0]
+    own: np.ndarray             # [w, c]: chamber image c moved by w itself
+    images: np.ndarray          # [w, c]: chamber image c moved by canonical[w, c]
+
+
+def _on_slice(points: np.ndarray, axis: int) -> np.ndarray:
+    """Scale to coordinate sum 1 along `axis`, as `dot_act` does."""
+    totals = np.sum(points, axis=axis, keepdims=True)
+    if np.any(np.abs(totals) <= EPS):
+        raise LeftDomain("group image lands on the zero-sum hyperplane")
+    return points / totals
+
+
+def _embed_ball(datum: CoxeterDatum, ball: DavisBall,
+                table: VertexImageTable) -> _BallImages:
+    """Images of the barycenter cells (w, chain) of every chamber, each the
+    dot action of M(w) on the chain's chamber image."""
+    chains = ball.chamber.simplices
+    chamber_images = np.array([embed_chamber_point(uniform_point(chain), table)
+                               for chain in chains])
+    matrices = np.array([w.matrix for w in ball.elements])
+    minima = coset_minima(datum, ball, {chain[0] for chain in chains})
+    canonical = np.stack([minima[chain[0]] for chain in chains], axis=1)
+    own = _on_slice(matrices @ chamber_images.T, axis=1).transpose(0, 2, 1)
+    images = own[canonical, np.arange(len(chains))]
+    return _BallImages(chains, chamber_images, matrices, canonical, own, images)
+
+
+def _strip_right_descents(products: np.ndarray, cols: list[int],
+                          reflections: np.ndarray) -> None:
+    """`minimal_coset_matrix` on a stack of matrices, in place: each round
+    strips the first right descent among `cols` from every matrix that
+    still has one."""
+    while cols:
+        down = negative_columns(products)[:, cols]
+        moving = down.any(axis=1)
+        if not moving.any():
+            return
+        first = down.argmax(axis=1)
+        for k, i in enumerate(cols):
+            rows = np.flatnonzero(moving & (first == k))
+            products[rows] = products[rows] @ reflections[i]
+
+
+def _equivariance_gap(datum: CoxeterDatum, emb: _BallImages,
+                      subset: frozenset[str], reps: np.ndarray,
+                      chains: list[int]) -> float:
+    """Largest gap, over every u of the ball and every cell (w, c) with w
+    in `reps` and c in `chains` (all starting at `subset`), between the
+    image of the moved cell, through the minimal representative of
+    u w W_subset, and u acting on the cell's image."""
+    cols = [datum.index(s) for s in datum.sort_subset(subset)]
+    frames = emb.chamber_images[chains].T                 # [rank, chain]
+    cells = emb.images[reps][:, chains].transpose(0, 2, 1)  # [w, rank, chain]
+    pairs = len(emb.matrices) * len(reps)
+    block = max(1, BLOCK_FLOATS // (datum.rank * max(datum.rank, len(chains))))
+    worst = 0.0
+    for start in range(0, pairs, block):
+        u, w = np.divmod(np.arange(start, min(start + block, pairs)), len(reps))
+        moved = emb.matrices[u]
+        products = moved @ emb.matrices[reps[w]]
+        _strip_right_descents(products, cols, datum.simple_reflections)
+        direct = _on_slice(products @ frames, axis=1)
+        acted = _on_slice(moved @ cells[w], axis=1)
+        worst = max(worst, float(np.max(np.abs(direct - acted))))
+    return worst
+
+
+def _min_separation(points: np.ndarray) -> float:
+    """Smallest Chebyshev distance between two rows of `points`, exact over
+    all pairs, comparing one block of rows with the later rows at a time."""
+    n = len(points)
+    coords = points.T.copy()
+    best = np.inf
+    rows = max(1, BLOCK_FLOATS // n)
+    for start in range(0, n - 1, rows):
+        stop = min(start + rows, n - 1)
+        gaps = np.zeros((stop - start, n - start - 1))
+        for x in coords:
+            np.maximum(gaps, np.abs(x[start:stop, None] - x[None, start + 1:]), out=gaps)
+        # row start+k against row start+1+m: keep the pairs with m >= k
+        gaps[np.tril_indices(stop - start, -1, n - start - 1)] = np.inf
+        best = min(best, float(np.min(gaps)))
+    return best
 
 
 def verify_embedding(datum: CoxeterDatum, radius: int,
                      table: VertexImageTable,
                      ball: DavisBall | None = None) -> EmbeddingReport:
-    """Check the embedding on a ball: equivariance of the group action,
-    injectivity on the barycenter sample, wall alignment of the mirrors,
-    and isotropy of every image.  Failures are reported, never raised."""
+    """Check the embedding on a ball: equivariance of the group action and
+    independence of the representative, injectivity on the barycenter
+    sample, wall alignment of the mirrors, and isotropy of every image.
+    Failures are reported, never raised."""
     if ball is None:
         ball = build_davis_ball(datum, radius)
-    cells = ball_cells(datum, ball)
-    embedded = [embed_cell(datum, c, table) for c in cells]
-    chamber_image = {chain: embed_chamber_point(uniform_point(chain), table)
-                     for chain in ball.chamber.simplices}
-    stabilizers = {chain: datum.sort_subset(chain[0])
-                   for chain in ball.chamber.simplices}
+    emb = _embed_ball(datum, ball, table)
 
-    # equivariance: embedding the moved cell (through its canonical
-    # representative) agrees with moving the embedded image
+    # every representative of a cell gives the image of its canonical one
+    max_gap = float(np.max(np.abs(emb.own - emb.images)))
+
+    groups: dict[frozenset[str], list[int]] = {}
+    for c, chain in enumerate(emb.chains):
+        groups.setdefault(chain[0], []).append(c)
     max_equi = 0.0
-    for u in ball.elements:
-        for cell, emb in zip(cells, embedded):
-            chain = cell.point.carrier
-            product = u.matrix @ cell.element.matrix
-            reduced, _ = minimal_coset_matrix(datum, product, stabilizers[chain])
-            direct = normalize(reduced @ chamber_image[chain])
-            acted = dot_act(datum, u, emb.image)
-            max_equi = max(max_equi, float(np.max(np.abs(direct - acted))))
-
-    # injectivity: cells with distinct canonical forms get separated images
-    keys = [_cell_key(c) for c in cells]
-    first_index: dict[tuple, int] = {}
-    max_dup = 0.0
-    images = np.array([e.image for e in embedded])
-    for i, key in enumerate(keys):
-        if key in first_index:
-            gap = float(np.max(np.abs(images[i] - images[first_index[key]])))
-            max_dup = max(max_dup, gap)
-        else:
-            first_index[key] = i
-    reps = images[sorted(first_index.values())]
-    gaps = np.max(np.abs(reps[:, None, :] - reps[None, :, :]), axis=2)
-    gaps[np.diag_indices(len(reps))] = np.inf
-    min_sep = float(np.min(gaps)) if len(reps) > 1 else np.inf
+    distinct = []
+    for subset, chains in groups.items():
+        reps = np.unique(emb.canonical[:, chains[0]])
+        max_equi = max(max_equi, _equivariance_gap(datum, emb, subset, reps, chains))
+        distinct.append(emb.images[reps][:, chains].reshape(-1, datum.rank))
+    points = np.concatenate(distinct)
+    min_sep = _min_separation(points)
 
     # mirror alignment on the identity chamber: on a wall iff s stabilizes
-    max_on = 0.0
-    min_off = np.inf
-    for chain in ball.chamber.simplices:
-        walls = datum.wall_values(chamber_image[chain])
-        stab = point_stabilizer(uniform_point(chain))
-        for s in datum.generators:
-            value = abs(float(walls[datum.index(s)]))
-            if s in stab:
-                max_on = max(max_on, value)
-            else:
-                min_off = min(min_off, value)
+    walls = np.abs(emb.chamber_images @ datum.gram)
+    on = np.array([[s in chain[0] for s in datum.generators] for chain in emb.chains])
+    max_on = float(np.max(walls[on], initial=0.0))
+    min_off = float(np.min(walls[~on], initial=np.inf))
 
-    max_iso = max(float(datum.bilinear(e.image, e.image)) for e in embedded)
+    max_iso = float(np.max(np.sum(points @ datum.gram * points, axis=1)))
 
     return EmbeddingReport(
         chambers=len(ball.elements),
-        samples=len(cells),
-        equivariance_ok=max_equi < WALL_TOL and max_dup < WALL_TOL,
+        samples=emb.canonical.size,
+        equivariance_ok=max_equi < WALL_TOL and max_gap < WALL_TOL,
         injectivity_ok=bool(min_sep > SEPARATION_TOL),
         mirror_ok=max_on < WALL_TOL <= min_off,
         isotropy_ok=max_iso <= ISOTROPY_TOL,
-        max_equivariance_violation=max(max_equi, max_dup),
+        max_equivariance_violation=max(max_equi, max_gap),
         min_separation=min_sep,
         max_on_wall_violation=max_on,
-        min_off_wall_margin=float(min_off),
+        min_off_wall_margin=min_off,
         max_isotropy=max_iso,
     )
 
 
 def embedded_complex_to_json(datum: CoxeterDatum, ball: DavisBall,
                              table: VertexImageTable) -> list[dict]:
-    out = []
-    for cell in ball_cells(datum, ball):
-        emb = embed_cell(datum, cell, table)
-        out.append({
-            "word": list(cell.element.word),
-            "carrier": [list(ball.chamber.subset_key(t))
-                        for t in cell.point.carrier],
-            "barycentric": list(cell.point.weights),
-            "image": [float(c) for c in emb.image],
-            "isotropy": float(datum.bilinear(emb.image, emb.image)),
-        })
-    return out
+    """Every barycenter cell (w, chain) of the ball, chamber by chamber:
+    its canonical word, carrier, weights, image and isotropy B(x, x)."""
+    emb = _embed_ball(datum, ball, table)
+    isotropy = np.sum(emb.images @ datum.gram * emb.images, axis=2)
+    carriers = [[ball.chamber.subset_key(t) for t in chain] for chain in emb.chains]
+    weights = [list(uniform_point(chain).weights) for chain in emb.chains]
+    return [{
+        "word": list(ball.elements[e].word),
+        "carrier": [list(key) for key in carriers[c]],
+        "barycentric": list(weights[c]),
+        "image": emb.images[w, c].tolist(),
+        "isotropy": float(isotropy[w, c]),
+    } for w, row in enumerate(emb.canonical) for c, e in enumerate(row)]

@@ -187,6 +187,17 @@ def test_dot_mode_fails_verification(uni):
     assert not report.mirror_ok
 
 
+def test_vertex_off_its_wall_fails_verification(uni):
+    table = build_vertex_image_table(uni)
+    images = dict(table.images)
+    moved = images[frozenset("s")] + 1e-6 * uni.simple_root("s")
+    images[frozenset("s")] = moved / moved.sum()
+    assert uni.wall_values(images[frozenset("s")])[0] > 1e-7
+    report = verify_embedding(uni, 2, VertexImageTable(table.basepoint, "linear", images))
+    assert not (report.mirror_ok and report.equivariance_ok)
+    assert not report.all_passed
+
+
 def test_all_passed_requires_every_check():
     base = EmbeddingReport(
         chambers=1, samples=1, equivariance_ok=True, injectivity_ok=True,
