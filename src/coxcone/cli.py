@@ -40,6 +40,7 @@ from .normalize import (
     limit_roots_to_json,
     normalized_roots_by_level,
     normalized_roots_to_csv,
+    normalized_roots_to_json,
 )
 from .parabolic import classify_parabolic, enumerate_spherical_poset, poset_to_json
 from .reflections import generate_roots, roots_to_json
@@ -130,7 +131,8 @@ def _emit(args: argparse.Namespace, text: str, extension: str) -> None:
 
 
 def _to_json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # no indent: an indent sends CPython's json to its pure-Python encoder
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _csv_from_records(header: list[str], rows: list[list]) -> str:
@@ -159,13 +161,7 @@ def _cmd_normalized_roots(args, datum: CoxeterDatum) -> int:
     if args.format == "csv":
         text = normalized_roots_to_csv(datum, levels)
     else:
-        text = _to_json_text({
-            "generators": list(datum.generators),
-            "roots": [{"coords": [float(c) for c in r.coords],
-                       "depth": r.depth,
-                       "isotropy": float(datum.bilinear(r.coords, r.coords))}
-                      for depth in sorted(levels) for r in levels[depth]],
-        })
+        text = _to_json_text(normalized_roots_to_json(datum, levels))
     _emit(args, text, args.format)
     return 0
 

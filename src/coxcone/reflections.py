@@ -314,7 +314,7 @@ def _ball(datum: CoxeterDatum, generators: Sequence[str] | None,
 
 
 def roots_to_json(records: Iterable[RootRecord]) -> list[dict]:
-    return [{"coords": [float(x) for x in rec.coords], "depth": rec.depth}
+    return [{"coords": rec.coords.tolist(), "depth": rec.depth}
             for rec in records]
 
 

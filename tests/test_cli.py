@@ -11,8 +11,15 @@ from pathlib import Path
 import pytest
 
 import coxcone
-from coxcone import serialize_datum
+from coxcone import (
+    build_davis_ball,
+    build_vertex_image_table,
+    find_interior_basepoint,
+    generate_roots,
+    serialize_datum,
+)
 from coxcone.cli import main
+from coxcone.embedding import embedded_complex_to_json
 
 
 @pytest.fixture()
@@ -203,6 +210,61 @@ def test_check_affine(datum_path):
     assert code == 0
     assert "the group is affine; the fundamental domain is a ray" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--depth", "4"],
+    ["normalized-roots", "--depth", "4"],
+    ["limit-roots", "--depth", "5"],
+    ["parabolics"],
+    ["cone-samples", "--radius", "1"],
+    ["davis", "--radius", "2"],
+    ["embed", "--radius", "2"],
+])
+def test_json_output_is_one_sorted_line(datum_path, argv):
+    code, out, _ = run_cli(argv + ["--datum", datum_path("universal3")])
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    # parsing and re-encoding with sorted keys gives the same text back, so
+    # keys are sorted at every level and every float prints in shortest
+    # round-trip form
+    assert json.dumps(json.loads(out), sort_keys=True) + "\n" == out
+
+
+def test_json_floats_round_trip(datum_path, datums):
+    uni = datums["universal3"]
+    path = datum_path("universal3")
+    roots = json.loads(run_cli(["roots", "--datum", path, "--depth", "5"])[1])
+    assert [r["coords"] for r in roots["roots"]] == [
+        r.coords.tolist() for r in generate_roots(uni, 5)]
+    embed = json.loads(run_cli(["embed", "--datum", path, "--radius", "2"])[1])
+    table = build_vertex_image_table(uni, v0=find_interior_basepoint(uni))
+    cells = embedded_complex_to_json(uni, build_davis_ball(uni, 2), table)
+    assert [c["image"] for c in embed["cells"]] == [c["image"] for c in cells]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["roots", "--depth", "3"],
+     "x_s,x_t,depth\n1.0,0.0,0\n0.0,1.0,0\n1.0,3.0,1\n3.0,1.0,1\n"
+     "3.0,8.0,2\n8.0,3.0,2\n8.0,21.0,3\n21.0,8.0,3\n"),
+    (["normalized-roots", "--depth", "2"],
+     "x_s,x_t,depth,isotropy\n1.0,0.0,0,1.0\n0.0,1.0,0,1.0\n"
+     "0.25,0.75,1,0.0625\n0.75,0.25,1,0.0625\n"
+     "0.2727272727272727,0.7272727272727273,2,0.008264462809917392\n"
+     "0.7272727272727273,0.2727272727272727,2,0.008264462809917423\n"),
+    (["limit-roots", "--depth", "8"],
+     "x_s,x_t,isotropy,source_depth\n"
+     "0.2763929618768328,0.7236070381231672,5.374910777008541e-07,7\n"
+     "0.7236070381231672,0.2763929618768328,5.374910777008541e-07,7\n"
+     "0.2763931671800616,0.7236068328199384,7.841881938446892e-08,8\n"
+     "0.7236068328199384,0.2763931671800616,7.84188194257564e-08,8\n"),
+])
+def test_csv_output_is_unchanged(datum_path, argv, text):
+    # the isotropy column keeps the bits of a per-root datum.bilinear call
+    code, out, _ = run_cli(argv + ["--datum", datum_path("rank2_hyper"),
+                                   "--format", "csv"])
+    assert code == 0
+    assert out == text
 
 
 def test_missing_datum_file():
