@@ -24,13 +24,13 @@ from .datum import CoxeterDatum
 from .davis import build_davis_ball, mirror, point_stabilizer, uniform_point
 from .embedding import build_vertex_image_table, verify_embedding
 from .errors import NotApplicable
-from .numeric import EPS
+from .numeric import EPS, WALL_TOL
 from .parabolic import (
     ParabolicKind,
     classify_parabolic,
     enumerate_spherical_poset,
 )
-from .reflections import enumerate_ball, generate_roots
+from .reflections import act, enumerate_ball, generate_roots, parabolic_closure
 
 PROBE_RADIUS = 8  # parabolic subgroups of the test data close up well inside
 
@@ -110,20 +110,27 @@ def check_displacement(datum: CoxeterDatum, radius: int, seed: int,
 
 
 def check_averaging(datum: CoxeterDatum) -> CheckResult:
-    """Orbit averages of the basepoint land exactly on their subset walls."""
+    """Orbit averages of the basepoint land exactly on their subset walls,
+    and the closed form agrees with the mean over the listed orbit."""
     try:
         base = find_interior_basepoint(datum)
     except NotApplicable as exc:
         return _skip("averaging", str(exc))
     poset = enumerate_spherical_poset(datum)
     worst = 0.0
+    gap = 0.0
     for subset in poset.elements:
         if not subset:
             continue
         averaged = average_over_parabolic(datum, subset, base)
         walls = datum.wall_values(averaged)
         worst = max(worst, max(abs(walls[datum.index(s)]) for s in subset))
-    return _result("averaging", worst <= 1e-8, worst,
+        orbit = np.mean([act(w, base.coords)
+                         for w in parabolic_closure(datum, datum.sort_subset(subset))],
+                        axis=0)
+        gap = max(gap, float(np.max(np.abs(orbit - averaged))))
+    ok = worst <= 1e-8 and gap <= WALL_TOL * float(np.max(np.abs(base.coords)))
+    return _result("averaging", ok, max(worst, gap),
                    f"{len(poset.elements) - 1} spherical subsets")
 
 
@@ -194,7 +201,7 @@ def check_embedding(datum: CoxeterDatum, radius: int) -> CheckResult:
         table = build_vertex_image_table(datum)
     except NotApplicable as exc:
         return _skip("embedding", str(exc))
-    report = verify_embedding(datum, radius, table)
+    report = verify_embedding(datum, build_davis_ball(datum, radius), table)
     worst = max(report.max_equivariance_violation,
                 report.max_on_wall_violation,
                 max(0.0, report.max_isotropy))

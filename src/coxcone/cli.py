@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, *, depth=False, radius=False,
-            seed=False, basepoint=False, vt_mode=False, samples=False):
+            seed=False, basepoint=False, samples=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--datum", required=True, help="path to a datum JSON file")
         p.add_argument("--out", help="output file path (default: stdout or "
@@ -70,9 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if basepoint:
             p.add_argument("--basepoint", default=None,
                            help="interior basepoint as 'c1,c2,...'")
-        if vt_mode:
-            p.add_argument("--vt-mode", choices=("linear", "dot"),
-                           default="linear", dest="vt_mode")
         if samples:
             p.add_argument("--samples", type=int, default=3,
                            help="samples per chamber")
@@ -90,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         radius=True, seed=True, samples=True)
     add("davis", "Davis complex over a word-ball", radius=True)
     add("embed", "embed the Davis complex into the normalized cone",
-        radius=True, basepoint=True, vt_mode=True)
+        radius=True, basepoint=True)
     add("check", "run all invariant suites", depth=True, radius=True, seed=True)
     return parser
 
@@ -217,12 +214,11 @@ def _cmd_embed(args, datum: CoxeterDatum) -> int:
         v0 = _parse_basepoint(datum, args.basepoint)
     else:
         v0 = find_interior_basepoint(datum)
-    table = build_vertex_image_table(datum, v0=v0, mode=args.vt_mode)
+    table = build_vertex_image_table(datum, v0=v0)
     ball = build_davis_ball(datum, args.radius)
-    report = verify_embedding(datum, args.radius, table, ball)
+    report = verify_embedding(datum, ball, table)
     text = _to_json_text({
         "basepoint": [float(c) for c in table.basepoint.coords],
-        "vt_mode": table.mode,
         "cells": embedded_complex_to_json(datum, ball, table),
         "verification": report.to_json(),
     })

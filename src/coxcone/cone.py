@@ -4,7 +4,7 @@ The fundamental domain is the set of nonnegative root combinations whose
 inner product with every simple root is nonpositive.  Pushing it around
 by the group sweeps out the imaginary cone; all the structural facts used
 by the embedding (displacement, averaging onto walls, stabilizers, which
-wall intersections are nonempty, positive independence) live here.
+wall intersections are nonempty) live here.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from .feasible import solve_lp
 from .normalize import normalize
 from .numeric import EPS, WALL_TOL, frozen
 from .parabolic import ParabolicKind, classify_parabolic, is_connected
-from .reflections import (
-    GroupElement,
-    act,
-    enumerate_ball,
-    parabolic_closure,
-)
+from .reflections import GroupElement, act, enumerate_ball
 
 
 @dataclass(frozen=True)
@@ -152,6 +147,9 @@ def average_over_parabolic(datum: CoxeterDatum, subset: Iterable[str],
     """Average of the orbit of v0 under the finite parabolic on `subset`,
     using the linear action.
 
+    The average is the B-orthogonal projection of v0 onto the fixed space
+    of the parabolic, v0 - sum_t c_t alpha_t with G_T c = (B(v0, alpha_t))_t,
+    G_T the form restricted to the subset, so no group element is listed.
     The average lands on every wall of the subset (inner product 0 within
     WALL_TOL), stays strictly off the other walls, and remains in the
     fundamental domain; these facts are asserted before returning.
@@ -160,10 +158,12 @@ def average_over_parabolic(datum: CoxeterDatum, subset: Iterable[str],
     base = v0.coords if isinstance(v0, ConePoint) else np.asarray(v0, dtype=float)
     if not classify_parabolic(datum, members).is_spherical:
         raise NotSpherical(f"subset {members!r} generates an infinite subgroup")
-    orbit = [act(w, base) for w in parabolic_closure(datum, members)]
-    averaged = np.mean(orbit, axis=0)
-    walls = datum.wall_values(averaged)
     inside = [datum.index(s) for s in members]
+    averaged = np.array(base, dtype=float)
+    if inside:
+        averaged[inside] -= np.linalg.solve(datum.gram[np.ix_(inside, inside)],
+                                            datum.gram[inside] @ base)
+    walls = datum.wall_values(averaged)
     outside = [i for i in range(datum.rank) if i not in inside]
     if inside and np.max(np.abs(walls[inside])) > WALL_TOL:
         raise InvariantViolation("averaged point missed a subset wall")
@@ -174,16 +174,15 @@ def average_over_parabolic(datum: CoxeterDatum, subset: Iterable[str],
     return averaged
 
 
-def stabilizer_generators(datum: CoxeterDatum, v: np.ndarray,
-                          tol: float = EPS) -> frozenset[str]:
+def stabilizer_generators(datum: CoxeterDatum, v: np.ndarray) -> frozenset[str]:
     """Generators whose wall passes through v; they generate the full
     stabilizer of any point of the fundamental domain."""
     v = np.asarray(v, dtype=float)
     walls = datum.wall_values(v)
-    if np.max(walls) > tol:
+    if np.max(walls) > EPS:
         raise PreconditionViolated("v has a positive wall value")
     return frozenset(
-        s for s in datum.generators if abs(walls[datum.index(s)]) <= tol)
+        s for s in datum.generators if abs(walls[datum.index(s)]) <= EPS)
 
 
 def verify_stabilizer(datum: CoxeterDatum, v: np.ndarray,
@@ -201,34 +200,6 @@ def verify_stabilizer(datum: CoxeterDatum, v: np.ndarray,
         if fixes != generated:
             return False
     return True
-
-
-def isotropic_boundary_structure(datum: CoxeterDatum,
-                                 x: np.ndarray) -> frozenset[str]:
-    """For a nonzero isotropic point of the fundamental domain, the set of
-    generators whose wall contains it.
-
-    The point must be supported on that set and must lie in the radical of
-    the form restricted to it; both facts are asserted.
-    """
-    x = np.asarray(x, dtype=float)
-    membership = in_fundamental_chamber(datum, x)
-    if not membership.member:
-        raise PreconditionViolated("x is outside the fundamental domain")
-    if abs(datum.bilinear(x, x)) > EPS:
-        raise PreconditionViolated("x is not isotropic")
-    walls = datum.wall_values(x)
-    touched = frozenset(
-        s for s in datum.generators if abs(walls[datum.index(s)]) <= EPS)
-    support_idx = [datum.index(s) for s in touched]
-    off = [i for i in range(datum.rank) if i not in support_idx]
-    if off and np.max(np.abs(x[off])) > WALL_TOL:
-        raise InvariantViolation("isotropic point is not supported on its walls")
-    sub = datum.gram[np.ix_(support_idx, support_idx)]
-    if np.max(np.abs(sub @ x[support_idx])) > WALL_TOL:
-        raise InvariantViolation(
-            "isotropic point is not in the radical of the restricted form")
-    return touched
 
 
 @dataclass(frozen=True)
@@ -266,54 +237,27 @@ def hyperplane_meets_chamber(datum: CoxeterDatum,
     return WallIntersection(False)
 
 
-def positively_independent(points: Sequence[np.ndarray]) -> bool:
-    """Whether no nonzero nonnegative combination of the points vanishes.
-
-    Points inside the positive cone all have positive coordinate sum, so
-    any such family is independent outright; otherwise feasibility of
-    sum(l_i p_i) = 0, l >= 0, sum(l) = 1 is decided by linear programming.
-    """
-    if not points:
-        raise PreconditionViolated("need at least one point")
-    stacked = np.column_stack([np.asarray(p, dtype=float) for p in points])
-    if all(in_positive_cone(stacked[:, j]) for j in range(stacked.shape[1])):
-        return True
-    k = stacked.shape[1]
-    a_eq = np.vstack([stacked, np.ones((1, k))])
-    b_eq = np.concatenate([np.zeros(stacked.shape[0]), [1.0]])
-    # lambda >= 0 is modeled as ub: -lambda <= 0
-    result = solve_lp(np.zeros(k), -np.eye(k), np.zeros(k), a_eq, b_eq)
-    return not result.ok
-
-
 def sample_wall_dominated(datum: CoxeterDatum, count: int,
                           seed: int) -> list[np.ndarray]:
     """Seeded random vectors with every wall value nonpositive.
 
-    When the form is invertible, solve (gram) v = -y for positive random y.
-    A singular form only arises here for affine groups, where the solution
-    set is the radical line; random multiples of the radical are used.
+    For an affine group the solution set is the radical line, and random
+    multiples of the radical are used.  Its form is singular, though often
+    only up to rounding, so the classification decides, not the solver.
+    Otherwise solve (gram) v = -y for positive random y; a form that is
+    singular without being affine has no sampler.
     """
     rng = np.random.default_rng(seed)
-    radical = None
+    full = classify_parabolic(datum, datum.generators)
+    if full.kind is ParabolicKind.AFFINE:
+        return [rng.uniform(-2.0, 2.0) * full.radical_vector for _ in range(count)]
     try:
         np.linalg.solve(datum.gram, np.ones(datum.rank))
-        singular = False
     except np.linalg.LinAlgError:
-        singular = True
-        full = classify_parabolic(datum, datum.generators)
-        if full.kind is not ParabolicKind.AFFINE:
-            raise NotApplicable(
-                "the form is singular but not affine; no sampler is provided")
-        radical = full.radical_vector
-    out: list[np.ndarray] = []
-    for _ in range(count):
-        if singular:
-            out.append(rng.uniform(-2.0, 2.0) * radical)
-        else:
-            y = rng.uniform(0.1, 1.0, datum.rank)
-            out.append(np.linalg.solve(datum.gram, -y))
-    return out
+        raise NotApplicable(
+            "the form is singular but not affine; no sampler is provided") from None
+    return [np.linalg.solve(datum.gram, -rng.uniform(0.1, 1.0, datum.rank))
+            for _ in range(count)]
 
 
 @dataclass(frozen=True)

@@ -145,18 +145,6 @@ def canonicalize_cell(datum: CoxeterDatum, cell: DavisCell) -> DavisCell:
     return DavisCell(element, cell.point)
 
 
-def cells_equal(datum: CoxeterDatum, a: DavisCell, b: DavisCell) -> bool:
-    """Equivalence in the complex: canonical forms agree."""
-    ca = canonicalize_cell(datum, a)
-    cb = canonicalize_cell(datum, b)
-    if ca.point.carrier != cb.point.carrier:
-        return False
-    if max(abs(x - y) for x, y in
-           zip(ca.point.weights, cb.point.weights)) > EPS:
-        return False
-    return ca.element == cb.element
-
-
 @dataclass(frozen=True)
 class DavisBall:
     chamber: FundamentalChamber
@@ -169,8 +157,7 @@ class DavisBall:
         return not self.frontier
 
 
-def build_davis_ball(datum: CoxeterDatum, radius: int,
-                     poset: SphericalPoset | None = None) -> DavisBall:
+def build_davis_ball(datum: CoxeterDatum, radius: int) -> DavisBall:
     """One chamber per ball element; chambers w and w r_s share the mirror
     of s; mirrors whose neighbor falls outside the ball are frontier.
 
@@ -181,9 +168,7 @@ def build_davis_ball(datum: CoxeterDatum, radius: int,
     before t.  Otherwise w r_s = t (p r_s), whose word is t followed by
     that of p r_s, which is as long as w and so already found.
     """
-    if poset is None:
-        poset = enumerate_spherical_poset(datum)
-    chamber = build_fundamental_chamber(poset)
+    chamber = build_fundamental_chamber(enumerate_spherical_poset(datum))
     elements = enumerate_ball(datum, radius)
     index = {w.word: i for i, w in enumerate(elements)}
     mats = np.array([w.matrix for w in elements])

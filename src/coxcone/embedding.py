@@ -2,9 +2,11 @@
 
 The empty subset goes to an interior basepoint; a spherical subset goes to
 the normalized average of the basepoint's orbit under its finite parabolic,
-which lands on exactly the walls of that subset.  Chains map to affinely
-independent frames, points extend barycentrically, and a group element acts
-on the result through the dot action.
+which lands on exactly the walls of that subset.  That average is the
+B-orthogonal projection of the basepoint onto the fixed space of the
+parabolic (`cone.average_over_parabolic`), so no orbit is listed.  Chains
+map to affinely independent frames, points extend barycentrically, and a
+group element acts on the result through the dot action.
 
 `verify_embedding` checks the map on the barycenter cells (w, chain) of a
 Davis ball, with array code over the whole ball.  The point of a cell is
@@ -49,22 +51,15 @@ from .davis import (
     Chain,
     DavisBall,
     DavisCell,
-    build_davis_ball,
     canonicalize_cell,
     coset_minima,
     uniform_point,
 )
-from .errors import (
-    DegenerateSimplex,
-    InvariantViolation,
-    LeftDomain,
-    NotInterior,
-    NotSpherical,
-)
+from .errors import DegenerateSimplex, InvariantViolation, LeftDomain, NotInterior
 from .normalize import dot_act, normalize
 from .numeric import EPS, WALL_TOL, frozen
-from .parabolic import SphericalPoset, classify_parabolic, enumerate_spherical_poset
-from .reflections import element_from_word, negative_columns, parabolic_closure
+from .parabolic import enumerate_spherical_poset
+from .reflections import element_from_word, negative_columns
 
 SIMPLEX_TOL = 1e-8
 SEPARATION_TOL = 1e-7
@@ -83,34 +78,21 @@ def _interior_coords(datum: CoxeterDatum, v0: ConePoint | np.ndarray) -> np.ndar
     return coords
 
 
-def vertex_image(datum: CoxeterDatum, subset, v0: ConePoint | np.ndarray,
-                 mode: str = "linear") -> np.ndarray:
-    """Normalized image of the vertex of a spherical subset.
-
-    "linear" (the default) averages the orbit of the basepoint under the
-    finite parabolic with the linear action and then normalizes; this is
-    the version whose wall and membership properties are guaranteed.
-    "dot" averages the dot-action images instead, for comparison.
-    """
+def vertex_image(datum: CoxeterDatum, subset,
+                 v0: ConePoint | np.ndarray) -> np.ndarray:
+    """Normalized image of the vertex of a spherical subset: the average of
+    the basepoint's orbit under the finite parabolic, with the linear
+    action."""
     base = _interior_coords(datum, v0)
     members = datum.sort_subset(subset)
     if not members:
         return normalize(base)
-    if mode == "linear":
-        return normalize(average_over_parabolic(datum, members, base))
-    if mode == "dot":
-        if not classify_parabolic(datum, members).is_spherical:
-            raise NotSpherical(f"subset {members!r} generates an infinite subgroup")
-        orbit = [dot_act(datum, w, normalize(base))
-                 for w in parabolic_closure(datum, members)]
-        return np.mean(orbit, axis=0)
-    raise ValueError(f"unknown vertex image mode {mode!r}")
+    return normalize(average_over_parabolic(datum, members, base))
 
 
 @dataclass(frozen=True)
 class VertexImageTable:
     basepoint: ConePoint  # normalized interior basepoint
-    mode: str
     images: Mapping[frozenset[str], np.ndarray]
 
     def image(self, subset: frozenset[str]) -> np.ndarray:
@@ -118,24 +100,19 @@ class VertexImageTable:
 
 
 def build_vertex_image_table(datum: CoxeterDatum,
-                             poset: SphericalPoset | None = None,
-                             v0: ConePoint | np.ndarray | None = None,
-                             mode: str = "linear") -> VertexImageTable:
-    """Vertex images for every spherical subset, validated in linear mode:
-    each image lies on exactly its own walls, is fixed by the dot action of
-    its subset, and stays in the fundamental domain."""
-    if poset is None:
-        poset = enumerate_spherical_poset(datum)
+                             v0: ConePoint | np.ndarray | None = None) -> VertexImageTable:
+    """Vertex images for every spherical subset, validated: each image lies
+    on exactly its own walls, is fixed by the dot action of its subset, and
+    stays in the fundamental domain."""
     if v0 is None:
         v0 = find_interior_basepoint(datum)
     base = _interior_coords(datum, v0)
     normalized_base = ConePoint(normalize(base), True)
     images: dict[frozenset[str], np.ndarray] = {}
-    for subset in poset.elements:
-        images[subset] = frozen(vertex_image(datum, subset, normalized_base, mode))
-    table = VertexImageTable(normalized_base, mode, images)
-    if mode == "linear":
-        _validate_table(datum, table)
+    for subset in enumerate_spherical_poset(datum).elements:
+        images[subset] = frozen(vertex_image(datum, subset, normalized_base))
+    table = VertexImageTable(normalized_base, images)
+    _validate_table(datum, table)
     return table
 
 
@@ -171,10 +148,9 @@ def affine_independence_margin(images: Sequence[np.ndarray]) -> float:
     return float(np.linalg.svd(diffs, compute_uv=False)[-1])
 
 
-def chain_simplex_check(images: Sequence[np.ndarray],
-                        tol: float = SIMPLEX_TOL) -> bool:
+def chain_simplex_check(images: Sequence[np.ndarray]) -> bool:
     """Affine independence of the vertex images along a chain."""
-    return affine_independence_margin(images) > tol
+    return affine_independence_margin(images) > SIMPLEX_TOL
 
 
 def embed_chamber_point(point, table: VertexImageTable) -> np.ndarray:
@@ -335,15 +311,12 @@ def _min_separation(points: np.ndarray) -> float:
     return best
 
 
-def verify_embedding(datum: CoxeterDatum, radius: int,
-                     table: VertexImageTable,
-                     ball: DavisBall | None = None) -> EmbeddingReport:
+def verify_embedding(datum: CoxeterDatum, ball: DavisBall,
+                     table: VertexImageTable) -> EmbeddingReport:
     """Check the embedding on a ball: equivariance of the group action and
     independence of the representative, injectivity on the barycenter
     sample, wall alignment of the mirrors, and isotropy of every image.
     Failures are reported, never raised."""
-    if ball is None:
-        ball = build_davis_ball(datum, radius)
     emb = _embed_ball(datum, ball, table)
 
     # every representative of a cell gives the image of its canonical one

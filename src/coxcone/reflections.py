@@ -316,7 +316,3 @@ def _ball(datum: CoxeterDatum, generators: Sequence[str] | None,
 def roots_to_json(records: Iterable[RootRecord]) -> list[dict]:
     return [{"coords": rec.coords.tolist(), "depth": rec.depth}
             for rec in records]
-
-
-def ball_to_json(elements: Iterable[GroupElement]) -> list[dict]:
-    return [{"word": list(el.word), "length": el.length} for el in elements]

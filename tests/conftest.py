@@ -1,14 +1,23 @@
-"""Shared fixtures: the six standing datums and the acceptance line recorder."""
+"""Shared fixtures: the six standing datums, r4, a random-datum strategy
+and the acceptance line recorder."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
+from hypothesis import assume, note, settings
+from hypothesis import strategies as st
 
-from coxcone import make_datum
+from coxcone import find_interior_basepoint, make_datum, serialize_datum
+from coxcone.errors import NotApplicable
 
 INF = math.inf
+
+# reproducible runs that leave no example database behind
+settings.register_profile("coxcone", derandomize=True, database=None, deadline=None)
+settings.load_profile("coxcone")
 
 
 def rank2_m3():
@@ -56,6 +65,35 @@ FIXTURE_BUILDERS = {
 # Fixtures whose group is infinite, irreducible, and not affine: these are the
 # ones with an interior basepoint, hence the ones cone/embedding work applies to.
 APPLICABLE = ["rank2_hyper", "universal3", "triangle334", "mixed3"]
+
+
+def r4():
+    return make_datum(["a", "b", "c", "d"],
+                      [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", INF)])
+
+
+def _has_interior(datum) -> bool:
+    try:
+        find_interior_basepoint(datum)
+    except NotApplicable:
+        return False
+    return True
+
+
+@st.composite
+def applicable_datums(draw):
+    """Random datums with an interior basepoint, drawn like the benchmark's
+    `random_applicable`: rank 3 or 4, every bond from {2, ..., 6, inf}, and
+    c in [-50, -1] on each infinite bond.  A failing example prints the
+    datum as JSON, ready for `coxcone check --datum`."""
+    gens = "abcd"[:draw(st.integers(3, 4))]
+    bonds = [(s, t, draw(st.sampled_from((2, 3, 4, 5, 6, INF))))
+             for s, t in itertools.combinations(gens, 2)]
+    values = [(s, t, draw(st.floats(-50.0, -1.0))) for s, t, m in bonds if m == INF]
+    datum = make_datum(gens, [b for b in bonds if b[2] != 2], values)
+    assume(_has_interior(datum))
+    note(serialize_datum(datum))
+    return datum
 
 
 @pytest.fixture(scope="session")

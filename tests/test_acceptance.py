@@ -254,7 +254,8 @@ def test_criterion_10_embedding():
     details = []
     for name in ("universal3", "triangle334"):
         datum = DATUMS[name]
-        report = verify_embedding(datum, 4, build_vertex_image_table(datum))
+        report = verify_embedding(datum, build_davis_ball(datum, 4),
+                                  build_vertex_image_table(datum))
         ok = (report.max_equivariance_violation < 1e-8
               and report.min_separation > 1e-7
               and report.mirror_ok

@@ -16,6 +16,7 @@ from coxcone import (
     build_vertex_image_table,
     find_interior_basepoint,
     generate_roots,
+    make_datum,
     serialize_datum,
 )
 from coxcone.cli import main
@@ -156,9 +157,8 @@ def test_embed_universal(datum_path):
     code, out, _ = run_cli(argv)
     assert code == 0
     doc = json.loads(out)
-    assert set(doc) == {"basepoint", "vt_mode", "cells", "verification"}
+    assert set(doc) == {"basepoint", "cells", "verification"}
     assert doc["basepoint"] == pytest.approx([1 / 3] * 3)
-    assert doc["vt_mode"] == "linear"
     assert doc["verification"]["all_passed"] is True
     assert len(doc["cells"]) == 22 * 7
     assert run_cli(argv)[1] == out
@@ -169,15 +169,6 @@ def test_embed_custom_basepoint(datum_path):
                             "--radius", "2", "--basepoint", "0.4,0.3,0.3"])
     assert code == 0
     assert json.loads(out)["basepoint"] == pytest.approx([0.4, 0.3, 0.3])
-
-
-def test_embed_dot_mode_fails_verification(datum_path):
-    code, out, _ = run_cli(["embed", "--datum", datum_path("universal3"),
-                            "--radius", "2", "--vt-mode", "dot"])
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["vt_mode"] == "dot"
-    assert doc["verification"]["all_passed"] is False
 
 
 def test_embed_finite_group_is_input_error(datum_path):
@@ -205,11 +196,17 @@ def test_check_universal(datum_path):
     assert all(row.split()[1] == "PASS" for row in rows)
 
 
-def test_check_affine(datum_path):
-    code, out, _ = run_cli(["check", "--datum", datum_path("rank2_affine")])
-    assert code == 0
-    assert "the group is affine; the fundamental domain is a ray" in out
-    assert "FAIL" not in out
+def test_check_affine(datum_path, tmp_path):
+    # the form of G~2 is singular only up to rounding
+    g2 = tmp_path / "g2.json"
+    g2.write_text(serialize_datum(make_datum(["a", "b", "c"],
+                                             [("a", "b", 6), ("b", "c", 3)])),
+                  encoding="utf-8")
+    for path in (datum_path("rank2_affine"), str(g2)):
+        code, out, _ = run_cli(["check", "--datum", path])
+        assert code == 0
+        assert "the group is affine; the fundamental domain is a ray" in out
+        assert "FAIL" not in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,6 +289,7 @@ def test_bad_tolerance(datum_path):
 @pytest.mark.parametrize("argv", [
     ["davis", "--radius", "1", "--tol", "1e-6"],
     ["embed", "--radius", "1", "--format", "csv"],
+    ["embed", "--radius", "1", "--vt-mode", "linear"],
 ])
 def test_flags_rejected_where_unused(datum_path, argv):
     with pytest.raises(SystemExit) as exc:

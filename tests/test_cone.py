@@ -5,24 +5,27 @@ import math
 import numpy as np
 import pytest
 
+from conftest import APPLICABLE, applicable_datums, r4
+from hypothesis import given
+
 from coxcone import (
     ConePoint,
+    act,
     average_over_parabolic,
     check_displacement,
+    classify_parabolic,
     displacement_violation,
+    enumerate_spherical_poset,
     find_interior_basepoint,
     hyperplane_meets_chamber,
     in_fundamental_chamber,
-    isotropic_boundary_structure,
-    make_cone_point,
     make_datum,
-    positively_independent,
+    parabolic_closure,
     sample_imaginary_cone,
     sample_wall_dominated,
-    stabilizer_generators,
     verify_stabilizer,
 )
-from coxcone.cone import cone_samples_to_json
+from coxcone.cone import cone_samples_to_json, make_cone_point, stabilizer_generators
 from coxcone.errors import (
     Infeasible,
     InvariantViolation,
@@ -164,6 +167,38 @@ def test_average_rejects_degenerate_base(aff):
         average_over_parabolic(aff, ["s"], np.array([1.0, 1.0]))
 
 
+def orbit_mean(datum, subset, v):
+    """Reference average: the mean over the listed orbit of v."""
+    return np.mean([act(w, v) for w in parabolic_closure(datum, datum.sort_subset(subset))],
+                   axis=0)
+
+
+def assert_average_is_orbit_mean(datum):
+    base = find_interior_basepoint(datum)
+    for subset in enumerate_spherical_poset(datum).elements:
+        got = average_over_parabolic(datum, subset, base)
+        assert np.max(np.abs(got - orbit_mean(datum, subset, base.coords))) <= 1e-12, subset
+
+
+def h4_subset():
+    # a-b-c-d spans H4, of order 14400; the infinite bond d-e makes the
+    # group applicable
+    return make_datum(["a", "b", "c", "d", "e"],
+                      [("a", "b", 5), ("b", "c", 3), ("c", "d", 3), ("d", "e", INF)])
+
+
+@pytest.mark.parametrize("name", APPLICABLE + ["r4", "h4_subset"])
+def test_average_is_orbit_mean(datums, name):
+    # the finite and affine fixtures have no interior basepoint to average
+    builders = {"r4": r4, "h4_subset": h4_subset}
+    assert_average_is_orbit_mean(builders[name]() if name in builders else datums[name])
+
+
+@given(applicable_datums())
+def test_average_is_orbit_mean_on_random_datums(datum):
+    assert_average_is_orbit_mean(datum)
+
+
 def test_stabilizer_generators(uni):
     assert stabilizer_generators(uni, np.array([2.0, 1.0, 1.0])) == {"s"}
     assert stabilizer_generators(uni, np.array([1.0, 1.0, 1.0])) == frozenset()
@@ -185,18 +220,6 @@ def test_ball_fixers_match_wall_subgroup(uni):
     fixers = [w.word for w in enumerate_ball(uni, 3)
               if np.max(np.abs(act(w, v) - v)) <= 1e-9]
     assert fixers == [(), ("s",)]
-
-
-def test_isotropic_boundary_structure(mix, aff):
-    assert isotropic_boundary_structure(mix, np.array([1.0, 0.0, 1.0])) == {"s", "u"}
-    assert isotropic_boundary_structure(aff, np.array([1.0, 1.0])) == {"s", "t"}
-
-
-def test_isotropic_boundary_preconditions(uni):
-    with pytest.raises(PreconditionViolated, match="not isotropic"):
-        isotropic_boundary_structure(uni, np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(PreconditionViolated, match="outside"):
-        isotropic_boundary_structure(uni, np.array([-1.0, 0.0, 0.0]))
 
 
 def test_hyperplane_meets_chamber_finite(tri):
@@ -239,16 +262,6 @@ def test_hyperplane_requires_nonempty_subset(uni):
         hyperplane_meets_chamber(uni, [])
 
 
-def test_positively_independent():
-    assert positively_independent([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert not positively_independent([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
-    assert not positively_independent(
-        [np.array([1.0, -1.0]), np.array([-1.0, 1.0])])
-    assert positively_independent([np.array([-1.0, -1.0])])
-    with pytest.raises(PreconditionViolated):
-        positively_independent([])
-
-
 def test_sample_wall_dominated(uni):
     samples = sample_wall_dominated(uni, 20, seed=0)
     assert len(samples) == 20
@@ -263,6 +276,16 @@ def test_sample_wall_dominated_affine(aff):
         # the solution set collapses to the radical line
         assert abs(v[0] - v[1]) < 1e-12
         assert np.max(np.abs(aff.wall_values(v))) < 1e-12
+    # G~2, C~2, A~2: the forms of the first two are singular only up to
+    # rounding, so a solver would return huge vectors off the radical line
+    for bonds in ([("a", "b", 6), ("b", "c", 3)],
+                  [("a", "b", 4), ("b", "c", 4)],
+                  [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)]):
+        datum = make_datum(["a", "b", "c"], bonds)
+        radical = classify_parabolic(datum, datum.generators).radical_vector
+        for v in sample_wall_dominated(datum, 10, seed=1):
+            assert np.max(np.abs(v - (v @ radical) / (radical @ radical) * radical)) < 1e-12
+            assert np.max(np.abs(datum.wall_values(v))) < 1e-12
 
 
 def test_sample_wall_dominated_singular_not_affine():

@@ -8,10 +8,8 @@ from coxcone import (
     build_davis_ball,
     build_fundamental_chamber,
     canonicalize_cell,
-    cells_equal,
     element_from_word,
     enumerate_spherical_poset,
-    identity_element,
     mirror,
     point_stabilizer,
     uniform_point,
@@ -142,21 +140,6 @@ def test_canonicalize_ignores_free_points(mix):
     assert canonicalize_cell(mix, cell) is cell
 
 
-def test_cells_equal(mix):
-    point = uniform_point((frozenset("s"),))
-    r_s = element_from_word(mix, "s")
-    assert cells_equal(mix, DavisCell(r_s, point), DavisCell(identity_element(mix), point))
-    r_t = element_from_word(mix, "t")
-    assert not cells_equal(mix, DavisCell(r_t, point), DavisCell(identity_element(mix), point))
-    other = uniform_point((frozenset("t"),))
-    assert not cells_equal(mix, DavisCell(r_s, point), DavisCell(r_s, other))
-    assert cells_equal(
-        mix,
-        DavisCell(element_from_word(mix, "ss"), point),
-        DavisCell(identity_element(mix), point),
-    )
-
-
 def test_hexagon(m3):
     ball = build_davis_ball(m3, 3)
     assert len(ball.elements) == 6
@@ -218,7 +201,7 @@ def test_ball_cells(uni):
     cells = ball_cells(uni, ball)
     assert len(cells) == len(ball.elements) * len(ball.chamber.simplices)
     for cell in cells:
-        assert cells_equal(uni, cell, canonicalize_cell(uni, cell))
+        assert canonicalize_cell(uni, cell) == cell
 
 
 def test_davis_ball_to_json(m3):

@@ -62,26 +62,10 @@ def test_vertex_image_rejects_infinite_subsets(uni):
     base = find_interior_basepoint(uni)
     with pytest.raises(NotSpherical):
         vertex_image(uni, ["s", "t"], base)
-    with pytest.raises(NotSpherical):
-        vertex_image(uni, ["s", "t"], base, mode="dot")
-
-
-def test_vertex_image_unknown_mode(uni):
-    with pytest.raises(ValueError):
-        vertex_image(uni, ["s"], find_interior_basepoint(uni), mode="affine")
-
-
-def test_dot_mode_misses_the_wall(uni):
-    # averaging dot-action images is not wall-exact: the discrepancy on the
-    # s-wall is well above tolerance, which is why linear is the default
-    base = find_interior_basepoint(uni)
-    img = vertex_image(uni, ["s"], base, mode="dot")
-    assert abs(uni.wall_values(img)[0]) > 1e-3
 
 
 def test_build_vertex_image_table(uni):
     table = build_vertex_image_table(uni)
-    assert table.mode == "linear"
     assert np.allclose(table.basepoint.coords, [1 / 3, 1 / 3, 1 / 3])
     assert set(table.images) == set(enumerate_spherical_poset(uni).elements)
     assert np.allclose(table.image(frozenset("s")), [0.5, 0.25, 0.25])
@@ -101,7 +85,7 @@ def test_table_validation_catches_bad_tables(uni):
     bad_images = dict(good.images)
     bad_images[EMPTY] = np.array([0.5, 0.25, 0.25])
     with pytest.raises(InvariantViolation, match="basepoint"):
-        _validate_table(uni, VertexImageTable(good.basepoint, "linear", bad_images))
+        _validate_table(uni, VertexImageTable(good.basepoint, bad_images))
 
 
 def test_affine_independence_margin():
@@ -129,7 +113,7 @@ def test_embed_chamber_point_degenerate(uni):
     base = find_interior_basepoint(uni)
     normalized = ConePoint(base.coords, True)
     images = {EMPTY: base.coords, frozenset("s"): base.coords}
-    table = VertexImageTable(normalized, "linear", images)
+    table = VertexImageTable(normalized, images)
     with pytest.raises(DegenerateSimplex):
         embed_chamber_point(uniform_point((EMPTY, frozenset("s"))), table)
 
@@ -154,7 +138,7 @@ def test_embed_cell_is_well_defined(mix):
 
 def test_verify_embedding_universal(uni):
     table = build_vertex_image_table(uni)
-    report = verify_embedding(uni, 3, table)
+    report = verify_embedding(uni, build_davis_ball(uni, 3), table)
     assert report.chambers == 22
     assert report.samples == 154
     assert report.all_passed
@@ -169,7 +153,7 @@ def test_verify_embedding_universal(uni):
 
 def test_verify_embedding_report_json(uni):
     table = build_vertex_image_table(uni)
-    doc = verify_embedding(uni, 2, table).to_json()
+    doc = verify_embedding(uni, build_davis_ball(uni, 2), table).to_json()
     assert doc["all_passed"] is True
     assert doc["chambers"] == 10
     assert set(doc) == {
@@ -180,20 +164,14 @@ def test_verify_embedding_report_json(uni):
     }
 
 
-def test_dot_mode_fails_verification(uni):
-    table = build_vertex_image_table(uni, mode="dot")
-    report = verify_embedding(uni, 2, table)
-    assert not report.all_passed
-    assert not report.mirror_ok
-
-
 def test_vertex_off_its_wall_fails_verification(uni):
     table = build_vertex_image_table(uni)
     images = dict(table.images)
     moved = images[frozenset("s")] + 1e-6 * uni.simple_root("s")
     images[frozenset("s")] = moved / moved.sum()
     assert uni.wall_values(images[frozenset("s")])[0] > 1e-7
-    report = verify_embedding(uni, 2, VertexImageTable(table.basepoint, "linear", images))
+    report = verify_embedding(uni, build_davis_ball(uni, 2),
+                              VertexImageTable(table.basepoint, images))
     assert not (report.mirror_ok and report.equivariance_ok)
     assert not report.all_passed
 

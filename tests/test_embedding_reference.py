@@ -6,12 +6,11 @@ through `ball_cells`, `embed_cell` and `minimal_coset_matrix`.  It is slow
 so it runs on small balls only.
 """
 
-import math
-
 import numpy as np
 import pytest
 
-from coxcone import make_datum
+from conftest import r4
+
 from coxcone.davis import (
     ball_cells,
     build_davis_ball,
@@ -105,11 +104,6 @@ def reference_json(datum, ball, table) -> list[dict]:
     return out
 
 
-def r4():
-    return make_datum(["a", "b", "c", "d"],
-                      [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", math.inf)])
-
-
 CASES = ([(name, r) for name in ("universal3", "triangle334", "mixed3")
           for r in (1, 2, 3)] + [("r4", 2)])
 
@@ -132,7 +126,7 @@ def assert_reports_match(new: EmbeddingReport, ref: EmbeddingReport) -> None:
 
 def test_report_matches_reference(case):
     datum, ball, table = case
-    new = verify_embedding(datum, 0, table, ball)
+    new = verify_embedding(datum, ball, table)
     assert_reports_match(new, reference_verify(datum, ball, table))
     assert new.max_equivariance_violation < 1e-8
 
@@ -154,8 +148,8 @@ def test_nudged_table_matches_reference(uni):
     table = build_vertex_image_table(uni)
     images = dict(table.images)
     images[frozenset("s")] = normalize(images[frozenset("s")] + 1e-6 * uni.simple_root("s"))
-    nudged = type(table)(table.basepoint, table.mode, images)
+    nudged = type(table)(table.basepoint, images)
     ball = build_davis_ball(uni, 2)
-    new = verify_embedding(uni, 2, nudged, ball)
+    new = verify_embedding(uni, ball, nudged)
     assert not new.all_passed
     assert_reports_match(new, reference_verify(uni, ball, nudged))

@@ -31,7 +31,6 @@ from coxcone.errors import (
 )
 from coxcone.reflections import (
     _canonical_word,
-    ball_to_json,
     reflect,
     reflection_matrix,
     roots_to_json,
@@ -399,13 +398,6 @@ def test_parabolic_closure(m3, aff, mix):
     assert parabolic_closure(m3, []) == [identity_element(m3)]
     with pytest.raises(BudgetExceeded):
         parabolic_closure(aff, ["s", "t"], cap=30)
-
-
-def test_ball_to_json(m3):
-    doc = ball_to_json(enumerate_ball(m3, 2))
-    assert doc[0] == {"word": [], "length": 0}
-    assert doc[-1] == {"word": ["t", "s"], "length": 2}
-    assert len(doc) == 5
 
 
 def test_roots_to_json(m3):
