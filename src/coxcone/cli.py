@@ -37,13 +37,11 @@ from .errors import CoxconeError
 from .normalize import (
     LIMIT_ISOTROPY_TOL,
     approximate_limit_roots,
-    limit_roots_to_json,
     normalized_roots_by_level,
-    normalized_roots_to_csv,
-    normalized_roots_to_json,
+    self_pairings,
 )
 from .parabolic import classify_parabolic, enumerate_spherical_poset, poset_to_json
-from .reflections import generate_roots, roots_to_json
+from .reflections import generate_roots
 
 OUTPUT_DIR_VAR = "COXCONE_OUTPUT_DIR"
 
@@ -140,42 +138,47 @@ def _csv_from_records(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _cmd_roots(args, datum: CoxeterDatum) -> int:
-    records = generate_roots(datum, args.depth)
+def _emit_table(args, datum: CoxeterDatum, key: str, columns: list[str],
+                rows: list[dict]) -> None:
+    """Write `{"generators": [...], key: rows}` as JSON, or as CSV with the
+    point column (columns[0]) spread over one x_<g> column per generator,
+    then the scalar columns.  Rows hold Python numbers (`.tolist()`, not
+    numpy scalars), so each float prints as its repr in both formats."""
     if args.format == "csv":
-        rows = [[repr(float(c)) for c in r.coords] + [r.depth] for r in records]
+        point, *scalars = columns
         text = _csv_from_records(
-            [f"x_{g}" for g in datum.generators] + ["depth"], rows)
+            [f"x_{g}" for g in datum.generators] + scalars,
+            [row[point] + [row[c] for c in scalars] for row in rows])
     else:
-        text = _to_json_text({"generators": list(datum.generators),
-                              "roots": roots_to_json(records)})
+        text = _to_json_text({"generators": list(datum.generators), key: rows})
     _emit(args, text, args.format)
+
+
+def _cmd_roots(args, datum: CoxeterDatum) -> int:
+    rows = [{"coords": r.coords.tolist(), "depth": r.depth}
+            for r in generate_roots(datum, args.depth)]
+    _emit_table(args, datum, "roots", ["coords", "depth"], rows)
     return 0
 
 
 def _cmd_normalized_roots(args, datum: CoxeterDatum) -> int:
     levels = normalized_roots_by_level(datum, args.depth)
-    if args.format == "csv":
-        text = normalized_roots_to_csv(datum, levels)
-    else:
-        text = _to_json_text(normalized_roots_to_json(datum, levels))
-    _emit(args, text, args.format)
+    records = [r for depth in sorted(levels) for r in levels[depth]]
+    isotropy = self_pairings(datum, np.array([r.coords for r in records]))
+    rows = [{"coords": r.coords.tolist(), "depth": r.depth, "isotropy": q}
+            for r, q in zip(records, isotropy.tolist())]
+    _emit_table(args, datum, "roots", ["coords", "depth", "isotropy"], rows)
     return 0
 
 
 def _cmd_limit_roots(args, datum: CoxeterDatum) -> int:
     if not 1e-12 <= args.tol <= 1e-3:
         raise ValueError("--tol must lie within [1e-12, 1e-3]")
-    estimates = approximate_limit_roots(datum, args.depth, args.tol)
-    if args.format == "csv":
-        rows = [[repr(float(c)) for c in e.point]
-                + [repr(e.isotropy), e.source_depth] for e in estimates]
-        text = _csv_from_records(
-            [f"x_{g}" for g in datum.generators] + ["isotropy", "source_depth"],
-            rows)
-    else:
-        text = _to_json_text(limit_roots_to_json(datum, estimates))
-    _emit(args, text, args.format)
+    rows = [{"point": e.point.tolist(), "isotropy": e.isotropy,
+             "source_depth": e.source_depth}
+            for e in approximate_limit_roots(datum, args.depth, args.tol)]
+    _emit_table(args, datum, "estimates",
+                ["point", "isotropy", "source_depth"], rows)
     return 0
 
 

@@ -121,13 +121,7 @@ def check_displacement(datum: CoxeterDatum, v: np.ndarray,
     Requires every wall value of v to be nonpositive; under that hypothesis
     the difference is a nonnegative combination of simple roots.
     """
-    v = np.asarray(v, dtype=float)
-    if np.max(datum.wall_values(v)) > EPS:
-        raise PreconditionViolated("v has a positive wall value")
-    for w in enumerate_ball(datum, ball_radius):
-        if np.min(act(w, v) - v) < -EPS:
-            return False
-    return True
+    return displacement_violation(datum, v, ball_radius) >= -EPS
 
 
 def displacement_violation(datum: CoxeterDatum, v: np.ndarray,

@@ -35,7 +35,7 @@ shared mirrors (`davis.coset_minima`).  The report's fields:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -205,20 +205,7 @@ class EmbeddingReport:
                 and self.mirror_ok and self.isotropy_ok)
 
     def to_json(self) -> dict:
-        return {
-            "chambers": self.chambers,
-            "samples": self.samples,
-            "equivariance_ok": self.equivariance_ok,
-            "injectivity_ok": self.injectivity_ok,
-            "mirror_ok": self.mirror_ok,
-            "isotropy_ok": self.isotropy_ok,
-            "max_equivariance_violation": self.max_equivariance_violation,
-            "min_separation": self.min_separation,
-            "max_on_wall_violation": self.max_on_wall_violation,
-            "min_off_wall_margin": self.min_off_wall_margin,
-            "max_isotropy": self.max_isotropy,
-            "all_passed": self.all_passed,
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 class _BallImages(NamedTuple):

@@ -8,8 +8,6 @@ roots lie in the isotropic set of the form.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,47 +145,3 @@ def _first_of_each_cluster(points: np.ndarray, tol: float) -> np.ndarray:
 def isotropy_defect(datum: CoxeterDatum, v: np.ndarray) -> float:
     """|(v, v)|; zero exactly on the isotropic set."""
     return abs(datum.bilinear(v, v))
-
-
-def _flat_with_isotropy(
-        datum: CoxeterDatum, levels: dict[int, list[RootRecord]]
-) -> tuple[list[RootRecord], list[float]]:
-    records = [r for depth in sorted(levels) for r in levels[depth]]
-    isotropy = self_pairings(datum, np.array([r.coords for r in records]))
-    return records, isotropy.tolist()
-
-
-def normalized_roots_to_csv(
-        datum: CoxeterDatum, levels: dict[int, list[RootRecord]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([f"x_{g}" for g in datum.generators] + ["depth", "isotropy"])
-    for record, isotropy in zip(*_flat_with_isotropy(datum, levels)):
-        writer.writerow([repr(float(c)) for c in record.coords]
-                        + [record.depth, repr(isotropy)])
-    return buffer.getvalue()
-
-
-def normalized_roots_to_json(
-        datum: CoxeterDatum, levels: dict[int, list[RootRecord]]) -> dict:
-    return {
-        "generators": list(datum.generators),
-        "roots": [{"coords": record.coords.tolist(), "depth": record.depth,
-                   "isotropy": isotropy}
-                  for record, isotropy in zip(*_flat_with_isotropy(datum, levels))],
-    }
-
-
-def limit_roots_to_json(datum: CoxeterDatum,
-                        estimates: list[LimitRootEstimate]) -> dict:
-    return {
-        "generators": list(datum.generators),
-        "estimates": [
-            {
-                "point": e.point.tolist(),
-                "isotropy": float(e.isotropy),
-                "source_depth": e.source_depth,
-            }
-            for e in estimates
-        ],
-    }

@@ -311,8 +311,3 @@ def _ball(datum: CoxeterDatum, generators: Sequence[str] | None,
         if len(out) > cap:
             raise BudgetExceeded(f"ball enumeration passed the cap of {cap}")
     return out
-
-
-def roots_to_json(records: Iterable[RootRecord]) -> list[dict]:
-    return [{"coords": rec.coords.tolist(), "depth": rec.depth}
-            for rec in records]

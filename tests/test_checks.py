@@ -1,8 +1,10 @@
 """The runnable invariant suites and their table rendering."""
 
+import dataclasses
+
 import pytest
 
-from coxcone import run_all_checks
+from coxcone import build_davis_ball, checks, run_all_checks
 from coxcone.checks import CheckResult, render_check_table
 
 CHECK_NAMES = [
@@ -88,3 +90,17 @@ def test_custom_depth_and_radius(uni):
     assert results["root-sign-dichotomy"].detail == "depth 3"
     assert "radius 3" in results["displacement"].detail
     assert all(r.status in ("pass", "skip") for r in results.values())
+
+
+def test_davis_ball_row_names_a_wrong_shared_mirror(uni, monkeypatch):
+    ball = build_davis_ball(uni, 2)
+    assert checks.check_davis_ball(uni, 2).status == "pass"
+    i, j, s = ball.adjacency[3]
+    t = next(g for g in uni.generators if g != s)
+    tampered = dataclasses.replace(
+        ball, adjacency=ball.adjacency[:3] + ((i, j, t),) + ball.adjacency[4:])
+    monkeypatch.setattr(checks, "build_davis_ball", lambda datum, radius: tampered)
+    result = checks.check_davis_ball(uni, 2)
+    assert result.failed
+    assert result.detail == (f"mirror {t}: {ball.elements[i]!r} r_{t} "
+                             f"!= {ball.elements[j]!r}")

@@ -1,6 +1,7 @@
 """Command-line interface: payload shapes, exit codes, and output routing."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -48,6 +49,8 @@ def test_roots_json(datum_path):
     assert doc["generators"] == ["s", "t"]
     assert len(doc["roots"]) == 3
     assert doc["roots"][0] == {"coords": [1.0, 0.0], "depth": 0}
+    assert doc["roots"][-1]["depth"] == 1
+    assert doc["roots"][-1]["coords"] == pytest.approx([1.0, 1.0])
 
 
 def test_roots_csv(datum_path):
@@ -61,13 +64,15 @@ def test_roots_csv(datum_path):
 
 
 def test_normalized_roots_csv(datum_path):
-    code, out, _ = run_cli(["normalized-roots", "--datum",
-                            datum_path("rank2_affine"), "--depth", "2",
-                            "--format", "csv"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "x_s,x_t,depth,isotropy"
-    assert len(lines) == 7
+    for depth, count in ((1, 5), (2, 7)):
+        code, out, _ = run_cli(["normalized-roots", "--datum",
+                                datum_path("rank2_affine"), "--depth", str(depth),
+                                "--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "x_s,x_t,depth,isotropy"
+        assert lines[1].startswith("1.0,0.0,0,")
+        assert len(lines) == count
 
 
 def test_normalized_roots_json(datum_path):
@@ -98,6 +103,17 @@ def test_limit_roots_tol_flag_tightens(datum_path):
     estimates = json.loads(out)["estimates"]
     assert 0 < len(estimates) < 270
     assert all(abs(e["isotropy"]) <= 1e-4 for e in estimates)
+
+
+def test_limit_roots_affine_json(datum_path):
+    code, out, _ = run_cli(["limit-roots", "--datum", datum_path("rank2_affine"),
+                            "--depth", "16"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["generators"] == ["s", "t"]
+    assert len(doc["estimates"]) == 2
+    assert set(doc["estimates"][0]) == {"point", "isotropy", "source_depth"}
+    assert doc["estimates"][0]["source_depth"] == 16
 
 
 def test_limit_roots_csv(datum_path):
@@ -262,6 +278,30 @@ def test_csv_output_is_unchanged(datum_path, argv, text):
                                    "--format", "csv"])
     assert code == 0
     assert out == text
+
+
+@pytest.mark.parametrize("name", ["rank2_hyper", "universal3"])
+@pytest.mark.parametrize("argv, key, columns", [
+    (["roots", "--depth", "5"], "roots", ["coords", "depth"]),
+    (["normalized-roots", "--depth", "5"], "roots", ["coords", "depth", "isotropy"]),
+    (["limit-roots", "--depth", "8"], "estimates",
+     ["point", "isotropy", "source_depth"]),
+])
+def test_csv_cells_are_the_json_values(datum_path, name, argv, key, columns):
+    path = datum_path(name)
+    code, out, _ = run_cli(argv + ["--datum", path])
+    assert code == 0
+    doc = json.loads(out)
+    rows = doc[key]
+    code, out, _ = run_cli(argv + ["--datum", path, "--format", "csv"])
+    assert code == 0
+    header, *lines = csv.reader(io.StringIO(out))
+    point, *scalars = columns
+    assert header == [f"x_{g}" for g in doc["generators"]] + scalars
+    assert len(lines) == len(rows) > 0
+    # the same float text in both formats: every cell parses to the JSON value
+    assert [[json.loads(cell) for cell in line] for line in lines] == [
+        row[point] + [row[c] for c in scalars] for row in rows]
 
 
 def test_missing_datum_file():

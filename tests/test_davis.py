@@ -1,15 +1,23 @@
 """The chamber complex over word balls: chains, mirrors, cells, adjacency."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from conftest import applicable_datums
+from hypothesis import given, settings
 
 from coxcone import (
     ball_cells,
     build_davis_ball,
     build_fundamental_chamber,
     canonicalize_cell,
+    datum_from_document,
+    datum_to_document,
     element_from_word,
+    enumerate_ball,
     enumerate_spherical_poset,
+    generate_roots,
     mirror,
     point_stabilizer,
     uniform_point,
@@ -211,3 +219,27 @@ def test_davis_ball_to_json(m3):
     assert len(doc["simplices"]) == 11
     assert doc["adjacency"][0] == {"a": 0, "b": 1, "generator": "s"}
     assert doc["frontier"] == []
+
+
+def combinatorics(datum):
+    """Ball words at r <= 4, root counts per depth at depth <= 6, and
+    Davis adjacency and frontier at r <= 3."""
+    ball = build_davis_ball(datum, 3)
+    return ([w.word for w in enumerate_ball(datum, 4)],
+            Counter(r.depth for r in generate_roots(datum, 6)),
+            ball.adjacency, ball.frontier)
+
+
+def with_every_c(datum, c):
+    doc = datum_to_document(datum)
+    doc["infinite_bond_values"] = [
+        [s, t, c] for s, t, _ in doc.get("infinite_bond_values", ())]
+    return datum_from_document(doc)
+
+
+@settings(max_examples=50)
+@given(applicable_datums())
+def test_combinatorics_do_not_depend_on_c(datum):
+    expected = combinatorics(datum)
+    for c in (-1.0, -7.5):
+        assert combinatorics(with_every_c(datum, c)) == expected

@@ -14,11 +14,7 @@ from coxcone import (
     phi,
 )
 from coxcone.errors import FiniteGroup, LeftDomain, OnV0
-from coxcone.normalize import (
-    LimitRootEstimate,
-    limit_roots_to_json,
-    normalized_roots_to_csv,
-)
+from coxcone.normalize import LimitRootEstimate
 
 
 def test_phi_is_coordinate_sum():
@@ -125,24 +121,6 @@ def test_normalized_isotropy_decays_with_depth(uni):
     assert mins == sorted(mins, reverse=True)
     assert mins[0] == pytest.approx(0.012346, abs=1e-6)
     assert mins[-1] < 1e-5
-
-
-def test_normalized_roots_to_csv(aff):
-    text = normalized_roots_to_csv(aff, normalized_roots_by_level(aff, 1))
-    lines = text.splitlines()
-    assert lines[0] == "x_s,x_t,depth,isotropy"
-    assert len(lines) == 5
-    assert lines[1].startswith("1.0,0.0,0,")
-
-
-def test_limit_roots_to_json(aff):
-    estimates = approximate_limit_roots(aff, 16)
-    doc = limit_roots_to_json(aff, estimates)
-    assert doc["generators"] == ["s", "t"]
-    assert len(doc["estimates"]) == 2
-    entry = doc["estimates"][0]
-    assert set(entry) == {"point", "isotropy", "source_depth"}
-    assert entry["source_depth"] == 16
 
 
 def test_limit_root_estimate_is_frozen(aff):

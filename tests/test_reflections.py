@@ -33,7 +33,6 @@ from coxcone.reflections import (
     _canonical_word,
     reflect,
     reflection_matrix,
-    roots_to_json,
 )
 
 INF = math.inf
@@ -398,13 +397,6 @@ def test_parabolic_closure(m3, aff, mix):
     assert parabolic_closure(m3, []) == [identity_element(m3)]
     with pytest.raises(BudgetExceeded):
         parabolic_closure(aff, ["s", "t"], cap=30)
-
-
-def test_roots_to_json(m3):
-    doc = roots_to_json(generate_roots(m3, 2))
-    assert doc[0] == {"coords": [1.0, 0.0], "depth": 0}
-    assert doc[-1]["depth"] == 1
-    assert np.allclose(doc[-1]["coords"], [1.0, 1.0])
 
 
 def test_group_element_repr(m3):
